@@ -26,7 +26,6 @@ from .defaults import (
     AGREEMENT_TOL,
     COMPONENTS,
     HERMITICITY_TOL,
-    ORACLE_ITERS,
     PSD_TOL,
     RANK_TOL,
     RECONSTRUCTION_TOL,
@@ -36,6 +35,7 @@ from .defaults import (
     TRIALS,
 )
 from .entanglement import (
+    _twirl_noise,
     bell_fidelity,
     decomposition_search,
     fidelity_mu_lower_bound,
@@ -59,9 +59,7 @@ from .states import (
     ClassicalJoint,
     apply_local,
     classical_bsc,
-    embed_classical,
     isotropic,
-    measure_computational,
     random_channel,
     random_density,
     random_product,
@@ -69,8 +67,6 @@ from .states import (
     tensor_bipartite,
     validate,
 )
-
-SUITES = ("dpi", "tensor", "extremes", "semicontinuity", "ment-dpi", "ment-tensor")
 
 MAX_DIM = 4
 
@@ -104,9 +100,9 @@ def read_state_file(path: str) -> BipartiteState:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(type(d) is int and 1 <= d <= MAX_DIM for d in dims)  # rejects bool too
     ):
-        raise ParseError(f"{path}: 'dims' must be two positive integers")
+        raise ParseError(f"{path}: 'dims' must be two integers in [1, {MAX_DIM}]")
     n = dims[0] * dims[1]
     matrix = data["matrix"]
     if not isinstance(matrix, list) or len(matrix) != n:
@@ -119,10 +115,13 @@ def read_state_file(path: str) -> BipartiteState:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(type(v) in (int, float) for v in cell)
             ):
                 raise ParseError(f"{path}: entry ({i}, {j}) must be a [re, im] pair")
-            rho[i, j] = complex(cell[0], cell[1])
+            try:
+                rho[i, j] = complex(cell[0], cell[1])
+            except OverflowError as exc:
+                raise ParseError(f"{path}: entry ({i}, {j}) is out of float range") from exc
     try:
         state = BipartiteState(dims[0], dims[1], rho)
     except MaxcorrError as exc:
@@ -323,7 +322,7 @@ def cmd_ment(args) -> int:
             violation = True
         tw = twirl_exact(state)
         if float(np.max(np.abs(state.rho - tw.rho))) < 1e-9:
-            delta = 4.0 * (1.0 - bell_fidelity(state)) / 3.0
+            delta = _twirl_noise(state)
             results["isotropic"] = {"epsilon": delta}
             if delta <= 1.0:
                 iso = lambda_bounds(delta)
@@ -363,7 +362,7 @@ def cmd_twirl(args) -> int:
     tw = twirl_exact(state)
     cliff = twirl_clifford_average(state)
     gap = float(np.max(np.abs(tw.rho - cliff.rho)))
-    delta = 4.0 * (1.0 - bell_fidelity(state)) / 3.0
+    delta = _twirl_noise(state)
     warnings = []
     violation = False
     if gap > 1e-10:
@@ -588,7 +587,7 @@ def _suite_ment_tensor(trials: int, seed: int, dims: tuple) -> tuple:
     return {"trials": trials, "worst_gap": float(worst)}, violations
 
 
-_SUITE_FUNCS = {
+SUITES = {
     "dpi": _suite_dpi,
     "tensor": _suite_tensor,
     "extremes": _suite_extremes,
@@ -600,14 +599,14 @@ _SUITE_FUNCS = {
 
 def cmd_suite(args) -> int:
     started = time.monotonic()
-    if args.name not in _SUITE_FUNCS:
+    if args.name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {args.name!r}; available: {', '.join(SUITES)}"
         )
     dims = _parse_dims(args.dims)
     if args.trials < 1:
         raise RangeError(f"trials must be positive, got {args.trials!r}")
-    results, violations = _SUITE_FUNCS[args.name](args.trials, args.seed, dims)
+    results, violations = SUITES[args.name](args.trials, args.seed, dims)
     results["violations"] = violations
     warnings = []
     if violations:

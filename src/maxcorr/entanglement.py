@@ -127,30 +127,7 @@ class QuasiConvexityReport:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
-
-
-def _pinv_sqrt_raw(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    w, v = np.linalg.eigh(_sym(m))
-    top = max(float(w[-1]), 0.0)
-    cut = rank_tol * top
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-    return (v * inv) @ v.conj().T
-
-
-def _mu_second(rho: np.ndarray, d_a: int, d_b: int, rank_tol: float) -> float:
-    """Second operator Schmidt coefficient of the normalized form, no carriers."""
-    rho4 = rho.reshape(d_a, d_b, d_a, d_b)
-    ra = np.einsum("ijkj->ik", rho4)
-    rb = np.einsum("ijik->jk", rho4)
-    tilde = (
-        np.kron(np.eye(d_a), _pinv_sqrt_raw(rb, rank_tol))
-        @ rho
-        @ np.kron(_pinv_sqrt_raw(ra, rank_tol), np.eye(d_b))
-    )
-    r = tilde.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-    s = np.linalg.svd(r, compute_uv=False)
-    return float(s[1]) if s.size > 1 else 0.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def mu_ent_upper(
@@ -174,9 +151,9 @@ def mu_ent_upper(
             raise InvalidDecompositionError(
                 f"component {i} is not a valid state: {'; '.join(diag.failures)}"
             )
-    return max(
-        _mu_second(c.rho, c.d_a, c.d_b, rank_tol) for c in decomposition.components
-    )
+    rhos = np.stack([c.rho for c in decomposition.components])
+    target = decomposition.target
+    return float(np.max(linalg.mu_stack(rhos, target.d_a, target.d_b, rank_tol)))
 
 
 def bell_fidelity(state: BipartiteState) -> float:
@@ -230,6 +207,11 @@ def single_qubit_cliffords() -> tuple:
     return tuple(found)
 
 
+def _twirl_noise(state: BipartiteState) -> float:
+    """Noise delta = 4 (1 - F) / 3 of the noisy Bell state the twirl lands on."""
+    return 4.0 * (1.0 - bell_fidelity(state)) / 3.0
+
+
 def _isotropic_matrix(delta: float) -> np.ndarray:
     return (1.0 - delta) * bell_projector() + delta * np.eye(4, dtype=np.complex128) / 4.0
 
@@ -242,8 +224,7 @@ def twirl_exact(state: BipartiteState) -> BipartiteState:
     with F < 1/4 give delta > 1; the output matrix is assembled directly
     since it remains a valid state for delta up to 4/3.
     """
-    delta = 4.0 * (1.0 - bell_fidelity(state)) / 3.0
-    return BipartiteState(2, 2, _isotropic_matrix(delta))
+    return BipartiteState(2, 2, _isotropic_matrix(_twirl_noise(state)))
 
 
 def twirl_clifford_average(state: BipartiteState) -> BipartiteState:
@@ -354,7 +335,7 @@ def _clifford_candidate(target: BipartiteState) -> Decomposition | None:
     """Product decomposition when the target is (numerically) a noisy Bell state."""
     if (target.d_a, target.d_b) != (2, 2):
         return None
-    delta = 4.0 * (1.0 - bell_fidelity(target)) / 3.0
+    delta = _twirl_noise(target)
     if np.max(np.abs(target.rho - _isotropic_matrix(delta))) > 1e-9:
         return None
     if delta < 2.0 / 3.0 - 1e-12:
@@ -475,6 +456,11 @@ class _PovmObjective:
     to the identity on the support of the target by construction, so every
     parameter point yields p_i = tr(rho E_i) and components
     sqrt(rho) E_i sqrt(rho) / p_i that rebuild the target identically.
+
+    evaluate stacks the k blocks: S, the E_i, p_i and components come from
+    batched products, S^{-1/2} and every component correlation from linalg's
+    stacked kernels (three batched eigh calls and one batched SVD in all).
+    Components with p_i at or below _WEIGHT_FLOOR are dropped.
     """
 
     def __init__(self, target: BipartiteState, k: int, rank_tol: float):
@@ -482,35 +468,26 @@ class _PovmObjective:
         self.k = k
         self.rank_tol = rank_tol
         self.sqrt_rho = linalg.psd_sqrt(_sym(target.rho))
-        self.d_a = target.d_a
-        self.d_b = target.d_b
 
     def evaluate(self, blocks: list):
-        s = np.zeros_like(self.target.rho)
-        for b in blocks:
-            s += b.conj().T @ b
-        corr = _pinv_sqrt_raw(s, self.rank_tol)
-        weights = []
-        comps = []
-        mus = []
-        for b in blocks:
-            c = b @ corr
-            e = c.conj().T @ c
-            raw = _sym(self.sqrt_rho @ e @ self.sqrt_rho)
-            p = float(np.real(np.trace(raw)))
-            if p <= _WEIGHT_FLOOR:
-                continue
-            tau = raw / p
-            weights.append(p)
-            comps.append(tau)
-            mus.append(_mu_second(tau, self.d_a, self.d_b, self.rank_tol))
-        return np.array(weights), comps, np.array(mus)
+        b = np.stack(blocks)
+        s = (b.conj().swapaxes(-1, -2) @ b).sum(axis=0)
+        c = b @ linalg.pinv_sqrt_stack(s[None], self.rank_tol)[0]
+        raw = _sym(self.sqrt_rho @ (c.conj().swapaxes(-1, -2) @ c) @ self.sqrt_rho)
+        p = np.real(np.trace(raw, axis1=1, axis2=2))
+        keep = p > _WEIGHT_FLOOR
+        comps = raw[keep] / p[keep, None, None]
+        return p[keep], comps, linalg.mu_stack(comps, self.target.d_a, self.target.d_b, self.rank_tol)
 
     def decomposition(self, blocks: list) -> Decomposition:
         weights, comps, _ = self.evaluate(blocks)
         weights = weights / weights.sum()
-        states = tuple(BipartiteState(self.d_a, self.d_b, c) for c in comps)
+        states = tuple(BipartiteState(self.target.d_a, self.target.d_b, c) for c in comps)
         return Decomposition(target=self.target, weights=weights, components=states)
+
+
+def _random_block(rng: np.random.Generator, n: int) -> np.ndarray:
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
 
 
 def _soft_worst(mus: np.ndarray, temp: float) -> float:
@@ -525,10 +502,7 @@ def _search_once(
 ) -> Decomposition:
     n = objective.target.dim
     k = objective.k
-    blocks = [
-        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-        for _ in range(k)
-    ]
+    blocks = [_random_block(rng, n) for _ in range(k)]
     _, _, mus = objective.evaluate(blocks)
     temp0, temp1 = 0.1, 0.005
     step = 0.3
@@ -541,8 +515,7 @@ def _search_once(
         else:
             i = int(rng.integers(k))
         trial = [b for b in blocks]
-        bump = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-        trial[i] = blocks[i] + step * bump
+        trial[i] = blocks[i] + step * _random_block(rng, n)
         _, _, mus_trial = objective.evaluate(trial)
         if mus_trial.size and _soft_worst(mus_trial, temp) < current:
             blocks = trial
@@ -556,9 +529,7 @@ def _search_once(
                 # Kick a stuck search: replace the worst block outright.
                 j = int(np.argmax(mus)) % k
                 fresh = [b for b in blocks]
-                fresh[j] = (
-                    rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                ) / np.sqrt(n)
+                fresh[j] = _random_block(rng, n)
                 _, _, mus_fresh = objective.evaluate(fresh)
                 if mus_fresh.size and _soft_worst(mus_fresh, temp) < current:
                     blocks = fresh
@@ -576,12 +547,7 @@ def random_povm_decomposition(
         raise RangeError(f"k must be positive, got {k!r}")
     objective = _PovmObjective(target, k, rank_tol)
     rng = np.random.default_rng(seed)
-    n = target.dim
-    blocks = [
-        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-        for _ in range(k)
-    ]
-    return objective.decomposition(blocks)
+    return objective.decomposition([_random_block(rng, target.dim) for _ in range(k)])
 
 
 def decomposition_search(

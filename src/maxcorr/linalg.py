@@ -27,6 +27,8 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "realign",
+    "pinv_sqrt_stack",
+    "mu_stack",
 ]
 
 
@@ -136,3 +138,35 @@ def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     m = _check_bipartite(m, d_a, d_b)
     m4 = m.reshape(d_a, d_b, d_a, d_b)
     return m4.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b).copy()
+
+
+def pinv_sqrt_stack(ms: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Pseudo-inverse square roots of a (k, n, n) stack in one batched eigh.
+
+    As psd_pinv_sqrt per matrix (cut at rank_tol times the largest eigenvalue),
+    but unchecked: the inputs must be positive semidefinite by construction.
+    """
+    w, v = np.linalg.eigh((ms + ms.conj().swapaxes(-1, -2)) / 2.0)
+    cut = rank_tol * np.maximum(w[..., -1:], 0.0)
+    inv = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+    return (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def mu_stack(rhos: np.ndarray, d_a: int, d_b: int, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Maximal correlation of every state in a (k, n, n) stack, n = d_a * d_b.
+
+    Each value is the second singular value of the realigned normalized form
+    (1 (x) rho_B^{-1/2}) rho (rho_A^{-1/2} (x) 1), or 0 if there is only one.
+    One batched eigh per marginal stack, Kronecker factors by broadcasting
+    against the identity, one batched SVD; inputs are not validated.
+    """
+    k = rhos.shape[0]
+    r5 = rhos.reshape(k, d_a, d_b, d_a, d_b)
+    pa = pinv_sqrt_stack(np.einsum("nijkj->nik", r5), rank_tol)
+    pb = pinv_sqrt_stack(np.einsum("nijik->njk", r5), rank_tol)
+    left = np.eye(d_a)[None, :, None, :, None] * pb[:, None, :, None, :]
+    right = pa[:, :, None, :, None] * np.eye(d_b)[None, None, :, None, :]
+    tilde = left.reshape(rhos.shape) @ rhos @ right.reshape(rhos.shape)
+    realigned = tilde.reshape(r5.shape).transpose(0, 1, 3, 2, 4).reshape(k, d_a * d_a, d_b * d_b)
+    s = np.linalg.svd(realigned, compute_uv=False)
+    return s[:, 1] if s.shape[1] > 1 else np.zeros(k)

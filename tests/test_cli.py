@@ -5,6 +5,7 @@ import pytest
 
 import maxcorr as mc
 from maxcorr.cli import main, read_state_file, write_joint_csv, write_state_file
+from maxcorr.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -180,6 +181,31 @@ def test_malformed_state_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "mu", path)
     assert code == 2
     assert "error:" in err
+
+
+def _half_identity(n):
+    return [[[0.5 if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dims": [True, 2], "matrix": _half_identity(2)},
+        {"dims": [1, 2], "matrix": [[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+        {"dims": [5, 1], "matrix": [[[0.2 if i == j else 0.0, 0.0] for j in range(5)] for i in range(5)]},
+        {"dims": [1, 2], "matrix": [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    ],
+    ids=["bool-dims", "bool-cell", "oversized-dims", "huge-int-cell"],
+)
+def test_state_file_edges_are_parse_errors(tmp_path, capsys, payload):
+    path = str(tmp_path / "edge.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ParseError):
+        read_state_file(path)
+    code, out, err = run(capsys, "mu", path)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_gen_rejects_oversized_dims(capsys, tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import maxcorr as mc
+from maxcorr import entanglement
+from maxcorr.defaults import RANK_TOL
 from maxcorr.errors import (
     DimensionMismatchError,
     InvalidDecompositionError,
@@ -211,3 +213,35 @@ def test_quasi_convexity_input_checks():
         )
     with pytest.raises(RangeError):
         mc.quasi_convexity_check([mc.isotropic(0.5)], [0.9])
+
+
+def test_search_trajectory_is_pinned():
+    """Bounds the seeded search certified with the per-component implementation.
+
+    A kernel change that moves the search path by even one accept decision
+    shows up here. On the 3x3 target the trivial decomposition wins, so the
+    restart's own bound is pinned as well.
+    """
+    st = mc.random_density(2, 2, seed=1)
+    dec = mc.decomposition_search(st, k=8, restarts=1, iters=400, seed=0)
+    assert abs(mc.mu_ent_upper(dec) - 0.6659579660490843) < 1e-12
+    st = mc.random_density(3, 3, seed=0)
+    dec = mc.decomposition_search(st, k=8, restarts=1, iters=200, seed=0)
+    assert abs(mc.mu_ent_upper(dec) - 0.45925460155704856) < 1e-12
+    objective = entanglement._PovmObjective(st, 8, RANK_TOL)
+    restart = entanglement._search_once(objective, 200, np.random.default_rng(0))
+    assert abs(mc.mu_ent_upper(restart) - 0.5844134345406811) < 1e-12
+
+
+def test_evaluate_drops_components_at_or_below_the_weight_floor():
+    st = mc.random_density(2, 3, seed=8)
+    rng = np.random.default_rng(4)
+    full = [entanglement._random_block(rng, 6) for _ in range(3)]
+    blocks = [full[0], np.zeros((6, 6), dtype=complex), full[1], 1e-9 * full[2], full[2]]
+    objective = entanglement._PovmObjective(st, len(blocks), RANK_TOL)
+    weights, comps, mus = objective.evaluate(blocks)
+    assert weights.shape == (3,) and comps.shape == (3, 6, 6) and mus.shape == (3,)
+    assert np.min(weights) > entanglement._WEIGHT_FLOOR
+    assert abs(weights.sum() - 1.0) < 1e-10
+    for c, mu in zip(comps, mus):
+        assert abs(mu - mc.mu_schmidt(mc.BipartiteState(2, 3, c)).mu) < 1e-9

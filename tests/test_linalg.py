@@ -3,6 +3,7 @@ import pytest
 
 from maxcorr import linalg
 from maxcorr.errors import NotHermitianError
+from maxcorr.states import random_density, random_product, random_pure
 
 
 def random_psd(rng, d, rank=None):
@@ -114,3 +115,49 @@ def test_singular_values_descending():
     m = rng.standard_normal((5, 3))
     sv = linalg.singular_values(m)
     assert np.all(np.diff(sv) <= 0.0)
+
+
+def loop_mu(rho, d_a, d_b):
+    """Per-matrix maximal correlation built from np.kron, realign and one SVD."""
+    pa = linalg.psd_pinv_sqrt(linalg.partial_trace(rho, d_a, d_b, "B"))
+    pb = linalg.psd_pinv_sqrt(linalg.partial_trace(rho, d_a, d_b, "A"))
+    tilde = np.kron(np.eye(d_a), pb) @ rho @ np.kron(pa, np.eye(d_b))
+    s = np.linalg.svd(linalg.realign(tilde, d_a, d_b), compute_uv=False)
+    return s[1] if s.size > 1 else 0.0
+
+
+DIM_PAIRS = [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)]
+
+
+@pytest.mark.parametrize("d_a,d_b", DIM_PAIRS)
+def test_mu_stack_matches_per_matrix_loop(d_a, d_b):
+    n = d_a * d_b
+    rhos = np.stack(
+        [random_density(d_a, d_b, rank=r, seed=10 * r + s).rho for r in range(1, n + 1) for s in range(2)]
+    )
+    got = linalg.mu_stack(rhos, d_a, d_b)
+    assert got.shape == (2 * n,)
+    assert np.max(np.abs(got - [loop_mu(rho, d_a, d_b) for rho in rhos])) < 1e-12
+
+
+@pytest.mark.parametrize("d_a,d_b", DIM_PAIRS)
+def test_mu_stack_extremes(d_a, d_b):
+    products = np.stack([random_product(d_a, d_b, seed=s).rho for s in range(3)])
+    assert np.max(linalg.mu_stack(products, d_a, d_b)) < 1e-12
+    if min(d_a, d_b) > 1:
+        pures = np.stack([random_pure(d_a, d_b, seed=s).rho for s in range(3)])
+        assert np.max(np.abs(linalg.mu_stack(pures, d_a, d_b) - 1.0)) < 1e-12
+
+
+def test_mu_stack_of_empty_stack_is_empty():
+    for d_a, d_b in ((1, 1), (2, 3), (4, 4)):
+        n = d_a * d_b
+        assert linalg.mu_stack(np.zeros((0, n, n), dtype=complex), d_a, d_b).shape == (0,)
+
+
+def test_pinv_sqrt_stack_matches_checked_version():
+    rng = np.random.default_rng(23)
+    ms = np.stack([random_psd(rng, 4, rank=r) for r in (1, 2, 3, 4, 4)])
+    got = linalg.pinv_sqrt_stack(ms)
+    for m, inv in zip(ms, got):
+        assert np.max(np.abs(inv - linalg.psd_pinv_sqrt(m))) < 1e-12 * max(1.0, np.max(np.abs(inv)))
