@@ -35,6 +35,7 @@ from .defaults import (
     TRIALS,
 )
 from .entanglement import (
+    _component_mus,
     _twirl_noise,
     bell_fidelity,
     decomposition_search,
@@ -76,10 +77,7 @@ MAX_DIM = 4
 
 
 def state_payload(state: BipartiteState) -> dict:
-    matrix = [
-        [[float(z.real), float(z.imag)] for z in row] for row in state.rho
-    ]
-    return {"dims": [state.d_a, state.d_b], "matrix": matrix}
+    return {"dims": [state.d_a, state.d_b], "matrix": _matrix_payload(state.rho)}
 
 
 def write_state_file(path: str, state: BipartiteState) -> None:
@@ -155,6 +153,10 @@ def read_joint_csv(path: str) -> ClassicalJoint:
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+
+
+def _file_inputs(path: str) -> dict:
+    return {"path": path, "digest": _digest(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +256,7 @@ def cmd_mu(args) -> int:
                 f"oracle value {oracle.value!r} outside [{low!r}, {high!r}]"
             )
             violation = True
-    _emit(
-        "mu",
-        {"path": args.state, "digest": _digest(args.state)},
-        args.seed if args.oracle else None,
-        results,
-        warnings,
-        started,
-    )
+    _emit("mu", _file_inputs(args.state), args.seed if args.oracle else None, results, warnings, started)
     return 1 if violation else 0
 
 
@@ -275,14 +270,7 @@ def cmd_mu_classical(args) -> int:
         "lambda1_deviation": report.lambda1_deviation,
         "support_shape": list(report.marginal_ranks),
     }
-    _emit(
-        "mu-classical",
-        {"path": args.table, "digest": _digest(args.table)},
-        None,
-        results,
-        list(report.warnings),
-        started,
-    )
+    _emit("mu-classical", _file_inputs(args.table), None, results, list(report.warnings), started)
     return 1 if report.warnings else 0
 
 
@@ -296,15 +284,15 @@ def cmd_ment(args) -> int:
     dec = decomposition_search(
         state, k=args.k, restarts=args.restarts, iters=args.iters, seed=args.seed
     )
-    upper = mu_ent_upper(dec)
-    comp_mus = [mu_schmidt(c).mu for c in dec.components]
+    comp_mus = _component_mus(dec, RANK_TOL, RECONSTRUCTION_TOL)
+    upper = float(np.max(comp_mus))
     results = {
         "mu": plain.mu,
         "upper_bound": upper,
         "decomposition": {
             "size": len(dec.components),
             "weights": [float(w) for w in dec.weights],
-            "component_mu": comp_mus,
+            "component_mu": [float(m) for m in comp_mus],
             "residual": dec.residual(),
         },
     }
@@ -332,14 +320,7 @@ def cmd_ment(args) -> int:
     else:
         results["lower_bound"] = 0.0
 
-    _emit(
-        "ment",
-        {"path": args.state, "digest": _digest(args.state)},
-        args.seed,
-        results,
-        warnings,
-        started,
-    )
+    _emit("ment", _file_inputs(args.state), args.seed, results, warnings, started)
     return 1 if violation else 0
 
 
@@ -375,14 +356,7 @@ def cmd_twirl(args) -> int:
         "clifford_average_gap": gap,
         "state": state_payload(tw),
     }
-    _emit(
-        "twirl",
-        {"path": args.state, "digest": _digest(args.state)},
-        None,
-        results,
-        warnings,
-        started,
-    )
+    _emit("twirl", _file_inputs(args.state), None, results, warnings, started)
     return 1 if violation else 0
 
 
@@ -391,14 +365,7 @@ def cmd_ppt(args) -> int:
     state = read_state_file(args.state)
     ppt = ppt_check(state)
     results = {"min_eigenvalue": ppt.min_eigenvalue, "is_ppt": ppt.is_ppt}
-    _emit(
-        "ppt",
-        {"path": args.state, "digest": _digest(args.state)},
-        None,
-        results,
-        [],
-        started,
-    )
+    _emit("ppt", _file_inputs(args.state), None, results, [], started)
     return 0
 
 
@@ -425,7 +392,7 @@ def cmd_gen(args) -> int:
             "rank": args.rank,
         }
         seed = args.seed
-    results = {"path": args.output, "digest": _digest(args.output)}
+    results = _file_inputs(args.output)
     _emit("gen", inputs, seed, results, [], started)
     return 0
 

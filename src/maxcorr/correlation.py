@@ -11,11 +11,14 @@ whose leading coefficient is always 1; for a classical joint table it is the
 second singular value of the correspondingly normalized table. A variational
 alternating-ascent oracle solves the defining optimization directly and is
 used as an independent cross-check of the spectral route.
+
+Each entry point diagonalizes each marginal exactly once (linalg.hermitian_eig)
+and derives ranks, (pseudo-inverse) square roots and Lyapunov solves from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,18 +88,22 @@ class VariationalResult:
     iterations: int
 
 
-def _rank(w: np.ndarray, rank_tol: float) -> int:
-    top = max(float(w[0]), 0.0) if w.size else 0.0
-    return int(np.sum(w > rank_tol * top)) if top > 0.0 else 0
+class _Spectra:
+    """A state's marginals with their checked eigendecompositions, and what derives from them."""
+
+    def __init__(self, state: BipartiteState, rho_a, eig_a, rho_b, eig_b, rank_tol: float):
+        self.rho_a, self.eig_a, self.rho_b, self.eig_b = rho_a, eig_a, rho_b, eig_b
+        self.inv_a = linalg.pinv_sqrt_from_eig(*eig_a, rank_tol)
+        self.inv_b = linalg.pinv_sqrt_from_eig(*eig_b, rank_tol)
+        tilde = linalg.normalized_form(state.rho, self.inv_a, self.inv_b, state.d_a, state.d_b)
+        self.realigned = linalg.realign(tilde, state.d_a, state.d_b)
 
 
 def normalized_operator(state: BipartiteState, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Marginal-normalized form of a state; product states map to sqrt(a) (x) sqrt(b)."""
     inv_a = linalg.psd_pinv_sqrt(state.marginal("A"), rank_tol=rank_tol)
     inv_b = linalg.psd_pinv_sqrt(state.marginal("B"), rank_tol=rank_tol)
-    left = np.kron(np.eye(state.d_a), inv_b)
-    right = np.kron(inv_a, np.eye(state.d_b))
-    return left @ state.rho @ right
+    return linalg.normalized_form(state.rho, inv_a, inv_b, state.d_a, state.d_b)
 
 
 def mu_schmidt(
@@ -110,14 +117,18 @@ def mu_schmidt(
     singular value. The leading value equals 1 up to numerical error for any
     valid state; its deviation is reported and warned about beyond 1e-6.
     When witness is true the maximizing observable pair is attached.
-    """
-    wa, va = linalg.hermitian_eig(state.marginal("A"))
-    wb, vb = linalg.hermitian_eig(state.marginal("B"))
-    ranks = (_rank(wa, rank_tol), _rank(wb, rank_tol))
 
-    schmidt = linalg.singular_values(
-        linalg.realign(normalized_operator(state, rank_tol), state.d_a, state.d_b)
-    )
+    One eigendecomposition per marginal (both checked hermitian, then both
+    positive semidefinite) gives the ranks, the normalized form and the witness.
+    """
+    rho_a, rho_b = state.marginal("A"), state.marginal("B")
+    eig_a, eig_b = linalg.hermitian_eig(rho_a), linalg.hermitian_eig(rho_b)
+    linalg.check_psd(eig_a[0])
+    linalg.check_psd(eig_b[0])
+    ranks = tuple(int(np.count_nonzero(w > linalg.support_cut(w, rank_tol))) for w, _ in (eig_a, eig_b))
+    spectra = _Spectra(state, rho_a, eig_a, rho_b, eig_b, rank_tol)
+
+    schmidt = linalg.singular_values(spectra.realigned)
     mu = float(schmidt[1]) if schmidt.size > 1 else 0.0
     dev = float(abs(schmidt[0] - 1.0)) if schmidt.size else 1.0
 
@@ -127,7 +138,7 @@ def mu_schmidt(
             f"leading Schmidt coefficient off by {dev:.3e}; "
             "the input may not be a valid normalized state"
         )
-    pair = extract_witness(state, rank_tol=rank_tol) if witness else None
+    pair = _witness(state, spectra, rank_tol) if witness else None
     return CorrelationReport(
         mu=mu,
         schmidt=schmidt,
@@ -179,10 +190,10 @@ def mu_classical(joint: ClassicalJoint, rank_tol: float = RANK_TOL) -> Correlati
     )
 
 
-def _center_normalize(op: np.ndarray, marginal: np.ndarray):
+def _center_normalize(op: np.ndarray, marginal: np.ndarray, eye: np.ndarray):
     """Project out the identity component and scale to unit weighted norm."""
-    centered = op - np.trace(marginal @ op) * np.eye(op.shape[0])
-    norm = float(np.sqrt(max(np.real(np.trace(marginal @ centered @ centered.conj().T)), 0.0)))
+    centered = op - (marginal @ op).trace() * eye
+    norm = float(np.sqrt(max(np.real((marginal @ centered @ centered.conj().T).trace()), 0.0)))
     if norm < _ZERO_DIRECTION:
         return None, 0.0
     return centered / norm, norm
@@ -198,19 +209,12 @@ def _contract_a(rho4: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ik,kjim->jm", x, rho4)
 
 
-def _pinv(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    w, v = linalg.hermitian_eig(m)
-    cut = rank_tol * max(float(w[0]), 0.0) if w.size else 0.0
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    return (v * inv) @ v.conj().T
-
-
 def _pair_stats(state: BipartiteState, rho_a, rho_b, x, y, hermitian: bool, mult: int) -> ObservablePair:
-    mean_x = complex(np.trace(rho_a @ x))
-    mean_y = complex(np.trace(rho_b @ y))
-    m2_x = float(np.real(np.trace(rho_a @ x @ x.conj().T)))
-    m2_y = float(np.real(np.trace(rho_b @ y @ y.conj().T)))
-    obj = float(abs(np.trace(state.rho @ np.kron(x, y.conj().T))))
+    mean_x = complex((rho_a @ x).trace())
+    mean_y = complex((rho_b @ y).trace())
+    m2_x = float(np.real((rho_a @ x @ x.conj().T).trace()))
+    m2_y = float(np.real((rho_b @ y @ y.conj().T).trace()))
+    obj = float(abs((state.rho @ np.kron(x, y.conj().T)).trace()))
     return ObservablePair(
         x=x,
         y=y,
@@ -247,8 +251,8 @@ def mu_variational(
         raise RangeError("restarts and iters must be positive")
     rho_a = state.marginal("A")
     rho_b = state.marginal("B")
-    pinv_a = _pinv(rho_a, rank_tol)
-    pinv_b = _pinv(rho_b, rank_tol)
+    pinv_a = linalg.pinv_from_eig(*linalg.hermitian_eig(rho_a), rank_tol)
+    pinv_b = linalg.pinv_from_eig(*linalg.hermitian_eig(rho_b), rank_tol)
     rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
     rng = np.random.default_rng(seed)
     eye_a = np.eye(state.d_a)
@@ -263,7 +267,7 @@ def mu_variational(
         y = rng.standard_normal((state.d_b, state.d_b)) + 1j * rng.standard_normal(
             (state.d_b, state.d_b)
         )
-        y, _n = _center_normalize(y, rho_b)
+        y, _n = _center_normalize(y, rho_b, eye_b)
         if y is None:
             continue
         x = eye_a * 0.0
@@ -274,14 +278,14 @@ def mu_variational(
         for it in range(iters):
             used = it + 1
             c = _contract_b(rho4, y)
-            x_dir, _ = _center_normalize(pinv_a @ c.conj().T, rho_a)
+            x_dir, _ = _center_normalize(pinv_a @ c.conj().T, rho_a, eye_a)
             if x_dir is None:
                 value = 0.0
                 converged = True
                 break
             x = x_dir
             e = _contract_a(rho4, x)
-            y_dir, value = _center_normalize(pinv_b @ e, rho_b)
+            y_dir, value = _center_normalize(pinv_b @ e, rho_b, eye_b)
             if y_dir is None:
                 value = 0.0
                 converged = True
@@ -318,9 +322,10 @@ def mu_variational(
 
 def _fallback_observable(marginal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     d = marginal.shape[0]
+    eye = np.eye(d)
     for _ in range(16):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        op, _ = _center_normalize(g, marginal)
+        op, _ = _center_normalize(g, marginal, eye)
         if op is not None:
             return op
     raise RangeError("marginal admits no zero-mean unit-variance observable")
@@ -346,22 +351,26 @@ def extract_witness(state: BipartiteState, rank_tol: float = RANK_TOL) -> Observ
     hermitian observables, each half-step solved exactly via a Lyapunov
     equation) replaces the pair when it reaches the same objective within
     1e-8.
+
+    One eigendecomposition per marginal (A checked hermitian and positive
+    semidefinite, then B) gives the roots and the Lyapunov solves;
+    mu_schmidt(witness=True) passes its own and diagonalizes nothing again.
     """
-    rho_a = state.marginal("A")
-    rho_b = state.marginal("B")
-    sqrt_a = linalg.psd_sqrt(rho_a)
-    sqrt_b = linalg.psd_sqrt(rho_b)
-    inv_a = linalg.psd_pinv_sqrt(rho_a, rank_tol=rank_tol)
-    inv_b = linalg.psd_pinv_sqrt(rho_b, rank_tol=rank_tol)
+    rho_a, rho_b = state.marginal("A"), state.marginal("B")
+    eig_a = linalg.hermitian_eig(rho_a)
+    linalg.check_psd(eig_a[0])
+    eig_b = linalg.hermitian_eig(rho_b)
+    linalg.check_psd(eig_b[0])
+    return _witness(state, _Spectra(state, rho_a, eig_a, rho_b, eig_b, rank_tol), rank_tol)
 
-    tilde = np.kron(np.eye(state.d_a), inv_b) @ state.rho @ np.kron(inv_a, np.eye(state.d_b))
-    r = linalg.realign(tilde, state.d_a, state.d_b)
 
-    w = sqrt_a.reshape(-1)
-    z = sqrt_b.reshape(-1).conj()
+def _witness(state: BipartiteState, sp: _Spectra, rank_tol: float) -> ObservablePair:
+    """extract_witness on spectra already taken."""
+    w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
+    z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
     w = w / np.linalg.norm(w)
     z = z / np.linalg.norm(z)
-    deflated = r - np.outer(w, w.conj() @ r)
+    deflated = sp.realigned - np.outer(w, w.conj() @ sp.realigned)
     deflated = deflated - np.outer(deflated @ z, z.conj())
 
     u, s, vh = np.linalg.svd(deflated)
@@ -372,64 +381,48 @@ def extract_witness(state: BipartiteState, rank_tol: float = RANK_TOL) -> Observ
 
     m2 = u[:, 0].reshape(state.d_a, state.d_a)
     n2 = vh[0, :].reshape(state.d_b, state.d_b)
-    x = inv_a @ m2.conj().T
-    y = inv_b @ n2
-    x, _ = _center_normalize(x, rho_a)
-    y, _ = _center_normalize(y, rho_b)
+    x, _ = _center_normalize(sp.inv_a @ m2.conj().T, sp.rho_a, np.eye(state.d_a))
+    y, _ = _center_normalize(sp.inv_b @ n2, sp.rho_b, np.eye(state.d_b))
 
     # Rotate Y's phase so the raw objective is real positive.
-    raw = np.trace(state.rho @ np.kron(x, y.conj().T))
+    raw = (state.rho @ np.kron(x, y.conj().T)).trace()
     if abs(raw) > 0.0:
         y = y * np.exp(1j * np.angle(raw))
 
-    pair = _pair_stats(state, rho_a, rho_b, x, y, _is_hermitian_pair(x, y), mult)
+    pair = _pair_stats(state, sp.rho_a, sp.rho_b, x, y, _is_hermitian_pair(x, y), mult)
 
     if not pair.hermitian:
-        herm = _hermitian_refinement(state, rho_a, rho_b, x, y, rank_tol)
+        herm = _hermitian_refinement(state, sp, y, rank_tol)
         if herm is not None and herm.objective >= pair.objective - 1e-8:
-            herm_pair = ObservablePair(
-                x=herm.x,
-                y=herm.y,
-                mean_x=herm.mean_x,
-                mean_y=herm.mean_y,
-                second_moment_x=herm.second_moment_x,
-                second_moment_y=herm.second_moment_y,
-                objective=herm.objective,
-                hermitian=True,
-                second_multiplicity=mult,
-            )
-            return herm_pair
+            return replace(herm, second_multiplicity=mult)
     return pair
 
 
-def _lyapunov_representer(w: np.ndarray, v: np.ndarray, target: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Solve rho G + G rho = 2 target on the support, rho given by eigensystem."""
-    t = v.conj().T @ target @ v
-    denom = w[:, None] + w[None, :]
-    cut = rank_tol * max(float(w[0]), 0.0) if w.size else 0.0
-    safe = np.where(denom > cut, denom, 1.0)
-    g = np.where(denom > cut, 2.0 * t / safe, 0.0)
-    return v @ g @ v.conj().T
+def _lyapunov_solver(w: np.ndarray, v: np.ndarray, rank_tol: float):
+    """target -> G solving rho G + G rho = 2 target on the support, rho = v diag(w) v^dag.
+
+    The eigenbasis adjoint and the masked denominator are built once per marginal.
+    """
+    vh, denom = v.conj().T, w[:, None] + w[None, :]
+    keep = denom > linalg.support_cut(w, rank_tol)
+    safe = np.where(keep, denom, 1.0)
+    return lambda target: v @ np.where(keep, 2.0 * (vh @ target @ v) / safe, 0.0) @ vh
 
 
-def _hermitian_refinement(state, rho_a, rho_b, x0, y0, rank_tol, iters: int = 400, tol: float = 1e-13):
-    """Alternating ascent over hermitian observables, seeded from a complex pair."""
-    wa, va = linalg.hermitian_eig(rho_a)
-    wb, vb = linalg.hermitian_eig(rho_b)
+def _hermitian_refinement(state, sp: _Spectra, y0, rank_tol, iters: int = 400, tol: float = 1e-13):
+    """Alternating ascent over hermitian observables, seeded from a complex Y."""
+    rho_a, rho_b = sp.rho_a, sp.rho_b
+    solve_a = _lyapunov_solver(*sp.eig_a, rank_tol)
+    solve_b = _lyapunov_solver(*sp.eig_b, rank_tol)
+    eye_a, eye_b = np.eye(state.d_a), np.eye(state.d_b)
     rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
 
-    def best_phase_herm(op, marginal):
-        best = None
-        best_norm = -1.0
-        for alpha in np.linspace(0.0, np.pi, 24, endpoint=False):
-            h = op * np.exp(1j * alpha)
-            h = (h + h.conj().T) / 2.0
-            cand, norm = _center_normalize(h, marginal)
-            if cand is not None and norm > best_norm:
-                best, best_norm = cand, norm
-        return best
-
-    y = best_phase_herm(y0, rho_b)
+    y, best_norm = None, -1.0
+    for alpha in np.linspace(0.0, np.pi, 24, endpoint=False):
+        h = y0 * np.exp(1j * alpha)
+        cand, norm = _center_normalize((h + h.conj().T) / 2.0, rho_b, eye_b)
+        if cand is not None and norm > best_norm:
+            y, best_norm = cand, norm
     if y is None:
         return None
     x = None
@@ -437,15 +430,13 @@ def _hermitian_refinement(state, rho_a, rho_b, x0, y0, rank_tol, iters: int = 40
     prev = -1.0
     for _ in range(iters):
         c = _contract_b(rho4, y)
-        c = (c + c.conj().T) / 2.0
-        g = _lyapunov_representer(wa, va, c, rank_tol)
-        x, _ = _center_normalize((g + g.conj().T) / 2.0, rho_a)
+        g = solve_a((c + c.conj().T) / 2.0)
+        x, _ = _center_normalize((g + g.conj().T) / 2.0, rho_a, eye_a)
         if x is None:
             return None
         e = _contract_a(rho4, x)
-        e = (e + e.conj().T) / 2.0
-        g = _lyapunov_representer(wb, vb, e, rank_tol)
-        y, value = _center_normalize((g + g.conj().T) / 2.0, rho_b)
+        g = solve_b((e + e.conj().T) / 2.0)
+        y, value = _center_normalize((g + g.conj().T) / 2.0, rho_b, eye_b)
         if y is None:
             return None
         if abs(value - prev) < tol:

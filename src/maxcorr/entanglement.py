@@ -140,6 +140,11 @@ def mu_ent_upper(
     Raises InvalidDecompositionError unless the mixture rebuilds its target
     entrywise within reconstruction_tol and every component is a valid state.
     """
+    return float(np.max(_component_mus(decomposition, rank_tol, reconstruction_tol)))
+
+
+def _component_mus(decomposition: Decomposition, rank_tol: float, reconstruction_tol: float) -> np.ndarray:
+    """Maximal correlation of every component of a validated decomposition (see mu_ent_upper)."""
     res = decomposition.residual()
     if res > reconstruction_tol:
         raise InvalidDecompositionError(
@@ -153,7 +158,7 @@ def mu_ent_upper(
             )
     rhos = np.stack([c.rho for c in decomposition.components])
     target = decomposition.target
-    return float(np.max(linalg.mu_stack(rhos, target.d_a, target.d_b, rank_tol)))
+    return linalg.mu_stack(rhos, target.d_a, target.d_b, rank_tol)
 
 
 def bell_fidelity(state: BipartiteState) -> float:

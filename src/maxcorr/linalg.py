@@ -21,12 +21,18 @@ from .errors import (
 __all__ = [
     "hermitian_eig",
     "singular_values",
+    "check_psd",
+    "support_cut",
+    "sqrt_from_eig",
+    "pinv_sqrt_from_eig",
+    "pinv_from_eig",
     "psd_sqrt",
     "psd_pinv_sqrt",
     "kron",
     "partial_trace",
     "partial_transpose",
     "realign",
+    "normalized_form",
     "pinv_sqrt_stack",
     "mu_stack",
 ]
@@ -70,31 +76,50 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
 
 
+def check_psd(w: np.ndarray, psd_tol: float = PSD_TOL) -> None:
+    """Reject a descending spectrum whose smallest value lies below -psd_tol * max(1, top)."""
+    if w.size and w[-1] < -psd_tol * max(1.0, float(w[0])):
+        raise NegativeEigenvalueError(f"eigenvalue {w[-1]:.3e} below zero")
+
+
+def support_cut(w: np.ndarray, rank_tol: float = RANK_TOL) -> float:
+    """Eigenvalues above this bound span the support: rank_tol times the largest, floored at 0."""
+    return rank_tol * max(float(w[0]), 0.0) if w.size else 0.0
+
+
+def sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hermitian square root from an eigendecomposition (w, v) given by hermitian_eig."""
+    out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def pinv_sqrt_from_eig(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Pseudo-inverse square root from hermitian_eig's (w, v): 1/sqrt(w) above support_cut, 0 below."""
+    inv = np.where(w > support_cut(w, rank_tol), 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+    out = (v * inv) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def pinv_from_eig(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Pseudo-inverse from an eigendecomposition (w, v), inverting eigenvalues above support_cut."""
+    keep = w > support_cut(w, rank_tol)
+    return (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.conj().T
+
+
 def psd_sqrt(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix."""
     w, v = hermitian_eig(m)
-    if w.size and w[-1] < -psd_tol * max(1.0, float(w[0])):
-        raise NegativeEigenvalueError(f"eigenvalue {w[-1]:.3e} below zero")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    out = (v * root) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    check_psd(w, psd_tol)
+    return sqrt_from_eig(w, v)
 
 
 def psd_pinv_sqrt(
     m: np.ndarray, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL
 ) -> np.ndarray:
-    """Pseudo-inverse square root of a positive semidefinite matrix.
-
-    Eigenvalues above rank_tol (relative to the largest) map to 1/sqrt(w);
-    the rest map to 0, so the result acts only on the support of m.
-    """
+    """Pseudo-inverse square root of a positive semidefinite matrix (see pinv_sqrt_from_eig)."""
     w, v = hermitian_eig(m)
-    if w.size and w[-1] < -psd_tol * max(1.0, float(w[0])):
-        raise NegativeEigenvalueError(f"eigenvalue {w[-1]:.3e} below zero")
-    cut = rank_tol * max(float(w[0]), 0.0) if w.size else 0.0
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-    out = (v * inv) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    check_psd(w, psd_tol)
+    return pinv_sqrt_from_eig(w, v, rank_tol)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,6 +165,13 @@ def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return m4.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b).copy()
 
 
+def normalized_form(rho: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """(1 (x) inv_b) rho (inv_a (x) 1) for an (n, n) rho or a (k, n, n) stack, Kronecker factors by broadcasting."""
+    left = np.eye(d_a)[:, None, :, None] * inv_b[..., None, :, None, :]
+    right = inv_a[..., :, None, :, None] * np.eye(d_b)[:, None, :]
+    return left.reshape(rho.shape) @ rho @ right.reshape(rho.shape)
+
+
 def pinv_sqrt_stack(ms: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Pseudo-inverse square roots of a (k, n, n) stack in one batched eigh.
 
@@ -157,16 +189,14 @@ def mu_stack(rhos: np.ndarray, d_a: int, d_b: int, rank_tol: float = RANK_TOL) -
 
     Each value is the second singular value of the realigned normalized form
     (1 (x) rho_B^{-1/2}) rho (rho_A^{-1/2} (x) 1), or 0 if there is only one.
-    One batched eigh per marginal stack, Kronecker factors by broadcasting
-    against the identity, one batched SVD; inputs are not validated.
+    One batched eigh per marginal stack, normalized_form, one batched SVD;
+    inputs are not validated.
     """
     k = rhos.shape[0]
     r5 = rhos.reshape(k, d_a, d_b, d_a, d_b)
     pa = pinv_sqrt_stack(np.einsum("nijkj->nik", r5), rank_tol)
     pb = pinv_sqrt_stack(np.einsum("nijik->njk", r5), rank_tol)
-    left = np.eye(d_a)[None, :, None, :, None] * pb[:, None, :, None, :]
-    right = pa[:, :, None, :, None] * np.eye(d_b)[None, None, :, None, :]
-    tilde = left.reshape(rhos.shape) @ rhos @ right.reshape(rhos.shape)
+    tilde = normalized_form(rhos, pa, pb, d_a, d_b)
     realigned = tilde.reshape(r5.shape).transpose(0, 1, 3, 2, 4).reshape(k, d_a * d_a, d_b * d_b)
     s = np.linalg.svd(realigned, compute_uv=False)
     return s[:, 1] if s.shape[1] > 1 else np.zeros(k)

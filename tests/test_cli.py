@@ -110,6 +110,15 @@ def test_ment_on_bell_state(tmp_path, capsys):
     assert res["ppt"]["is_ppt"] is False
 
 
+@pytest.mark.parametrize("dims,seed", [(("2", "2"), "9"), (("3", "3"), "0")])
+def test_ment_component_mu_meets_upper_bound_exactly(tmp_path, capsys, dims, seed):
+    path = str(tmp_path / "st.json")
+    report(capsys, "gen", "random", "--da", dims[0], "--db", dims[1], "--seed", seed, "-o", path)
+    _, rep = report(capsys, "ment", path, "--restarts", "1", "--iters", "120", "--seed", "0")
+    res = rep["results"]
+    assert max(res["decomposition"]["component_mu"]) == res["upper_bound"]
+
+
 def test_iso_bounds_command(capsys):
     code, rep = report(capsys, "iso-bounds", "--epsilon", "0.4")
     assert code == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import maxcorr as mc
-from maxcorr.errors import RangeError
+from maxcorr.errors import NegativeEigenvalueError, NotHermitianError, RangeError
 
 
 def haar_unitary(rng, d):
@@ -157,3 +157,29 @@ def test_normalized_operator_of_product_is_sqrt_product():
     want = np.kron(psd_sqrt(a), psd_sqrt(b))
     got = mc.normalized_operator(st)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_mu_schmidt_rejects_nonhermitian_marginal():
+    rho = mc.isotropic(0.3).rho + 1e-6 * np.kron(E01, np.eye(2) / 2.0)
+    with pytest.raises(NotHermitianError):
+        mc.mu_schmidt(mc.BipartiteState(2, 2, rho))
+
+
+def test_mu_schmidt_rejects_negative_marginal_eigenvalue():
+    rho = np.diag([1.1, 0.0, 0.0, -0.1]).astype(complex)
+    with pytest.raises(NegativeEigenvalueError):
+        mc.mu_schmidt(mc.BipartiteState(2, 2, rho))
+
+
+def test_marginal_checks_keep_their_order():
+    """A negative eigenvalue on A and a non-hermitian B: mu_schmidt checks both
+    sides for hermiticity before positivity, extract_witness finishes A first."""
+    rho = np.diag([1.1, 0.0, 0.0, -0.1]) + 1e-6 * np.kron(np.eye(2), E01)
+    st = mc.BipartiteState(2, 2, rho)
+    with pytest.raises(NotHermitianError):
+        mc.mu_schmidt(st)
+    with pytest.raises(NegativeEigenvalueError):
+        mc.extract_witness(st)

@@ -161,3 +161,27 @@ def test_pinv_sqrt_stack_matches_checked_version():
     got = linalg.pinv_sqrt_stack(ms)
     for m, inv in zip(ms, got):
         assert np.max(np.abs(inv - linalg.psd_pinv_sqrt(m))) < 1e-12 * max(1.0, np.max(np.abs(inv)))
+
+
+@pytest.mark.parametrize("d_a,d_b", DIM_PAIRS)
+def test_mu_schmidt_is_bit_identical_to_kron_loop(d_a, d_b):
+    from dataclasses import fields
+
+    from maxcorr.correlation import extract_witness, mu_schmidt
+    from maxcorr.errors import RangeError
+
+    n = d_a * d_b
+    for rank in range(1, n + 1):
+        for seed in range(2):
+            st = random_density(d_a, d_b, rank=rank, seed=10 * rank + seed)
+            rep = mu_schmidt(st)
+            assert rep.mu == loop_mu(st.rho, d_a, d_b)
+            if seed:
+                continue
+            if rep.mu < 1e-12:
+                with pytest.raises(RangeError):
+                    mu_schmidt(st, witness=True)
+                continue
+            got, want = mu_schmidt(st, witness=True).witness, extract_witness(st)
+            for f in fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
