@@ -140,9 +140,7 @@ def write_joint_csv(path: str, joint: ClassicalJoint) -> None:
 def read_joint_csv(path: str) -> ClassicalJoint:
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, OSError):
-            raise
+    except ValueError as exc:
         raise ParseError(f"{path}: not a rectangular CSV of numbers ({exc})") from exc
     try:
         return ClassicalJoint(table)
@@ -150,13 +148,9 @@ def read_joint_csv(path: str) -> ClassicalJoint:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
 def _file_inputs(path: str) -> dict:
-    return {"path": path, "digest": _digest(path)}
+    with open(path, "rb") as fh:
+        return {"path": path, "digest": "sha256:" + hashlib.sha256(fh.read()).hexdigest()}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ and derives ranks, (pseudo-inverse) square roots and Lyapunov solves from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
 
 _DEGENERACY_TOL = 1e-10
 _ZERO_DIRECTION = 1e-14
+_CEILING_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -350,7 +352,9 @@ def extract_witness(state: BipartiteState, rank_tol: float = RANK_TOL) -> Observ
     recorded. A hermitian refinement (alternating ascent restricted to
     hermitian observables, each half-step solved exactly via a Lyapunov
     equation) replaces the pair when it reaches the same objective within
-    1e-8.
+    1e-8. It runs only if the pair is not hermitian and the hermitian
+    ceiling, the largest objective of any feasible hermitian pair (a closed
+    form from the same spectra), plus 1e-9 reaches that threshold.
 
     One eigendecomposition per marginal (A checked hermitian and positive
     semidefinite, then B) gives the roots and the Lyapunov solves;
@@ -391,11 +395,19 @@ def _witness(state: BipartiteState, sp: _Spectra, rank_tol: float) -> Observable
 
     pair = _pair_stats(state, sp.rho_a, sp.rho_b, x, y, _is_hermitian_pair(x, y), mult)
 
-    if not pair.hermitian:
+    # No hermitian pair beats the ceiling: refine only when the result could be kept.
+    if not pair.hermitian and _hermitian_ceiling(state, sp, rank_tol) + _CEILING_MARGIN >= pair.objective - 1e-8:
         herm = _hermitian_refinement(state, sp, y, rank_tol)
         if herm is not None and herm.objective >= pair.objective - 1e-8:
             return replace(herm, second_multiplicity=mult)
     return pair
+
+
+def _pair_sums(w: np.ndarray, rank_tol: float):
+    """Eigenbasis entries (i, j) on the support, w_i + w_j > support_cut, and w_i + w_j there (1 elsewhere)."""
+    denom = w[:, None] + w[None, :]
+    keep = denom > linalg.support_cut(w, rank_tol)
+    return keep, np.where(keep, denom, 1.0)
 
 
 def _lyapunov_solver(w: np.ndarray, v: np.ndarray, rank_tol: float):
@@ -403,10 +415,45 @@ def _lyapunov_solver(w: np.ndarray, v: np.ndarray, rank_tol: float):
 
     The eigenbasis adjoint and the masked denominator are built once per marginal.
     """
-    vh, denom = v.conj().T, w[:, None] + w[None, :]
-    keep = denom > linalg.support_cut(w, rank_tol)
-    safe = np.where(keep, denom, 1.0)
+    vh, (keep, safe) = v.conj().T, _pair_sums(w, rank_tol)
     return lambda target: v @ np.where(keep, 2.0 * (vh @ target @ v) / safe, 0.0) @ vh
+
+
+@lru_cache(maxsize=16)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Columns vec(E^T) for the orthonormal basis E_ij of the d x d hermitian matrices (read-only, cached).
+
+    E_ii = e_ii, E_ij = (e_ij + e_ji)/sqrt(2) for i < j, i(e_ij - e_ji)/sqrt(2) for i > j.
+    """
+    e = np.eye(d * d).reshape(d * d, d, d)
+    i, j = np.divmod(np.arange(d * d), d)
+    sym = (e + e.transpose(0, 2, 1)) / np.where(i == j, 2.0, np.sqrt(2.0))[:, None, None]
+    basis = np.where((i <= j)[:, None, None], sym, 1j * (e - e.transpose(0, 2, 1)) / np.sqrt(2.0))
+    out = basis.transpose(0, 2, 1).reshape(d * d, d * d).T
+    out.flags.writeable = False
+    return out
+
+
+def _hermitian_ceiling(state: BipartiteState, sp: _Spectra, rank_tol: float) -> float:
+    """Largest objective of any feasible hermitian pair, from the spectra already taken.
+
+    For hermitian X, tr(rho_A X^2) = <X, (rho_A X + X rho_A)/2>, which weighs
+    eigenbasis entry (i, j) by (a_i + a_j)/2. So the realigned state, rotated
+    into both marginal eigenbases, scaled by sqrt(2 / (a_i + a_j)) on the
+    support (and likewise on B) and taken in orthonormal hermitian coordinates,
+    is a real matrix whose unit spheres are the normalized observables. Its top
+    singular pair is the identity on each side with value 1 (Cauchy-Schwarz),
+    so the zero-mean maximum is its second singular value.
+    """
+    factors = []
+    for w, v in (sp.eig_a, sp.eig_b):
+        keep, safe = _pair_sums(w, rank_tol)
+        scale = np.where(keep, np.sqrt(2.0 / safe), 0.0).reshape(-1)
+        rotate = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(w.size**2, w.size**2)
+        factors.append((rotate * scale) @ _hermitian_basis(w.size))
+    m = factors[0].T @ linalg.realign(state.rho, state.d_a, state.d_b) @ factors[1]
+    s = np.linalg.svd(m.real, compute_uv=False)
+    return float(s[1]) if s.size > 1 else 0.0
 
 
 def _hermitian_refinement(state, sp: _Spectra, y0, rank_tol, iters: int = 400, tol: float = 1e-13):

@@ -465,7 +465,8 @@ class _PovmObjective:
     evaluate stacks the k blocks: S, the E_i, p_i and components come from
     batched products, S^{-1/2} and every component correlation from linalg's
     stacked kernels (three batched eigh calls and one batched SVD in all).
-    Components with p_i at or below _WEIGHT_FLOOR are dropped.
+    Components with p_i at or below _WEIGHT_FLOOR are dropped; with
+    kept=True the indices of the blocks that remain come as a fourth value.
     """
 
     def __init__(self, target: BipartiteState, k: int, rank_tol: float):
@@ -474,7 +475,7 @@ class _PovmObjective:
         self.rank_tol = rank_tol
         self.sqrt_rho = linalg.psd_sqrt(_sym(target.rho))
 
-    def evaluate(self, blocks: list):
+    def evaluate(self, blocks: list, kept: bool = False):
         b = np.stack(blocks)
         s = (b.conj().swapaxes(-1, -2) @ b).sum(axis=0)
         c = b @ linalg.pinv_sqrt_stack(s[None], self.rank_tol)[0]
@@ -482,7 +483,8 @@ class _PovmObjective:
         p = np.real(np.trace(raw, axis1=1, axis2=2))
         keep = p > _WEIGHT_FLOOR
         comps = raw[keep] / p[keep, None, None]
-        return p[keep], comps, linalg.mu_stack(comps, self.target.d_a, self.target.d_b, self.rank_tol)
+        out = p[keep], comps, linalg.mu_stack(comps, self.target.d_a, self.target.d_b, self.rank_tol)
+        return out + (np.flatnonzero(keep),) if kept else out
 
     def decomposition(self, blocks: list) -> Decomposition:
         weights, comps, _ = self.evaluate(blocks)
@@ -505,10 +507,9 @@ def _search_once(
     iters: int,
     rng: np.random.Generator,
 ) -> Decomposition:
-    n = objective.target.dim
-    k = objective.k
+    n, k = objective.target.dim, objective.k
     blocks = [_random_block(rng, n) for _ in range(k)]
-    _, _, mus = objective.evaluate(blocks)
+    _, _, mus, kept = objective.evaluate(blocks, kept=True)
     temp0, temp1 = 0.1, 0.005
     step = 0.3
     stale = 0
@@ -516,15 +517,15 @@ def _search_once(
         temp = temp0 * (temp1 / temp0) ** (t / max(iters - 1, 1))
         current = _soft_worst(mus, temp)
         if rng.random() < 0.5 and mus.size:
-            i = int(np.argmax(mus)) % k
+            i = int(kept[np.argmax(mus)])
         else:
             i = int(rng.integers(k))
         trial = [b for b in blocks]
         trial[i] = blocks[i] + step * _random_block(rng, n)
-        _, _, mus_trial = objective.evaluate(trial)
+        _, _, mus_trial, kept_trial = objective.evaluate(trial, kept=True)
         if mus_trial.size and _soft_worst(mus_trial, temp) < current:
             blocks = trial
-            mus = mus_trial
+            mus, kept = mus_trial, kept_trial
             step = min(step * 1.3, 2.0)
             stale = 0
         else:
@@ -532,13 +533,13 @@ def _search_once(
             stale += 1
             if stale >= 60:
                 # Kick a stuck search: replace the worst block outright.
-                j = int(np.argmax(mus)) % k
+                j = int(kept[np.argmax(mus)])
                 fresh = [b for b in blocks]
                 fresh[j] = _random_block(rng, n)
-                _, _, mus_fresh = objective.evaluate(fresh)
+                _, _, mus_fresh, kept_fresh = objective.evaluate(fresh, kept=True)
                 if mus_fresh.size and _soft_worst(mus_fresh, temp) < current:
                     blocks = fresh
-                    mus = mus_fresh
+                    mus, kept = mus_fresh, kept_fresh
                 step = 0.3
                 stale = 0
     return objective.decomposition(blocks)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import maxcorr as mc
+from maxcorr import correlation, linalg
+from maxcorr.defaults import RANK_TOL
 from maxcorr.errors import NegativeEigenvalueError, NotHermitianError, RangeError
 
 
@@ -183,3 +185,72 @@ def test_marginal_checks_keep_their_order():
         mc.mu_schmidt(st)
     with pytest.raises(NegativeEigenvalueError):
         mc.extract_witness(st)
+
+
+def hermitian_ceiling(st):
+    """correlation._hermitian_ceiling on freshly taken marginal spectra."""
+    rho_a, rho_b = st.marginal("A"), st.marginal("B")
+    eig_a, eig_b = linalg.hermitian_eig(rho_a), linalg.hermitian_eig(rho_b)
+    spectra = correlation._Spectra(st, rho_a, eig_a, rho_b, eig_b, RANK_TOL)
+    return correlation._hermitian_ceiling(st, spectra, RANK_TOL)
+
+
+def with_marginal_ratio(st, ratio):
+    """st pulled back so that rho_A has spectrum proportional to (1, ..., 1, ratio)."""
+    rho_a = st.marginal("A")
+    w, v = np.linalg.eigh(rho_a)
+    target = np.ones(st.d_a)
+    target[-1] = ratio
+    m = np.diag(np.sqrt(target / target.sum())) @ (v / np.sqrt(w)) @ v.conj().T
+    k = np.kron(m, np.eye(st.d_b))
+    rho = k @ st.rho @ k.conj().T
+    return mc.BipartiteState(st.d_a, st.d_b, (rho + rho.conj().T) / 2.0)
+
+
+def gate_panel(d_a, d_b):
+    """(state, mixed) over every rank and two seeds, a pure state and two near-cutoff marginals."""
+    panel = [
+        (mc.random_density(d_a, d_b, rank=r, seed=s), r > 1)
+        for r in range(1, d_a * d_b + 1)
+        for s in range(2)
+    ]
+    panel.append((mc.random_pure(d_a, d_b, seed=5), False))
+    for ratio in (1e-9, 3e-10):
+        panel.append((with_marginal_ratio(mc.random_density(d_a, d_b, seed=7), ratio), False))
+    return panel
+
+
+def witness_fields(p):
+    return (p.x.tobytes(), p.y.tobytes(), p.mean_x, p.mean_y, p.second_moment_x,
+            p.second_moment_y, p.objective, p.hermitian, p.second_multiplicity)
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_hermitian_ceiling_gate_is_sound(d_a, d_b, monkeypatch):
+    """The refinement never beats the ceiling, so skipping it never changes a witness."""
+    refine, ran = correlation._hermitian_refinement, []
+
+    def spy(*args, **kwargs):
+        ran.append(refine(*args, **kwargs))
+        return ran[-1]
+
+    monkeypatch.setattr(correlation, "_hermitian_refinement", spy)
+    checked = 0
+    for st, mixed in gate_panel(d_a, d_b):
+        ran.clear()
+        gated = mc.extract_witness(st)
+        skipped = not gated.hermitian and not ran
+        with monkeypatch.context() as m:
+            m.setattr(correlation, "_CEILING_MARGIN", np.inf)
+            forced = mc.extract_witness(st)
+        if not ran or ran[-1] is None:
+            continue
+        ceiling = hermitian_ceiling(st)
+        assert ran[-1].objective <= ceiling + 1e-12
+        if skipped:
+            assert witness_fields(gated) == witness_fields(forced)
+        if mixed:
+            assert abs(ran[-1].objective - ceiling) < 1e-9
+        checked += 1
+    assert checked >= d_a * d_b

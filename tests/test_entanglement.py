@@ -245,3 +245,47 @@ def test_evaluate_drops_components_at_or_below_the_weight_floor():
     assert abs(weights.sum() - 1.0) < 1e-10
     for c, mu in zip(comps, mus):
         assert abs(mu - mc.mu_schmidt(mc.BipartiteState(2, 3, c)).mu) < 1e-9
+
+
+def test_worst_component_maps_to_its_block_past_a_dropped_one():
+    st = mc.random_density(2, 2, seed=3)
+    rng = np.random.default_rng(2)
+    full = [entanglement._random_block(rng, 4) for _ in range(4)]
+    blocks = full[:1] + [np.zeros((4, 4), dtype=complex)] + full[1:]
+    objective = entanglement._PovmObjective(st, len(blocks), RANK_TOL)
+    weights, comps, mus, kept = objective.evaluate(blocks, kept=True)
+    assert kept.tolist() == [0, 2, 3, 4]
+    # The zero block adds nothing to S, so the other blocks give the same components in order.
+    dense = entanglement._PovmObjective(st, len(full), RANK_TOL).evaluate(full)
+    assert np.array_equal(mus, dense[2]) and np.array_equal(comps, dense[1])
+    # _search_once perturbs and kicks blocks[kept[argmax(mus)]]; argmax(mus) alone points one block early here.
+    worst = int(kept[np.argmax(mus)])
+    assert blocks[worst] is full[int(np.argmax(dense[2]))]
+    assert worst != int(np.argmax(mus))
+
+
+class DroppingObjective:
+    """Stands in for _PovmObjective: block 0 is always dropped, block 1 has the worst component."""
+
+    def __init__(self, target, k):
+        self.target, self.k = target, k
+        self.start, self.touched = None, []
+
+    def evaluate(self, blocks, kept=False):
+        if self.start is None:
+            self.start = blocks
+        self.touched += [i for i, (a, b) in enumerate(zip(blocks, self.start)) if a is not b]
+        idx = np.arange(1, self.k)
+        return None, None, np.where(idx == 1, 0.9, 0.1), idx
+
+    def decomposition(self, blocks):
+        return None
+
+
+def test_search_perturbs_the_worst_kept_block():
+    # Every trial ties the current value and is rejected, so each one differs
+    # from the start in the block it perturbed: half the time the worst, else a random one.
+    objective = DroppingObjective(mc.random_density(2, 2, seed=0), 4)
+    entanglement._search_once(objective, 200, np.random.default_rng(0))
+    counts = np.bincount(objective.touched, minlength=4)
+    assert counts[1] > 3 * counts[0]

@@ -22,6 +22,7 @@ CASES = {
     "mu-witness-oracle-random23": ["mu", "random23.json", "--witness", "--oracle", "--seed", "3"],
     "mu-witness-oracle-random33r2": ["mu", "random33r2.json", "--witness", "--oracle", "--seed", "3"],
     "mu-witness-oracle-iso02": ["mu", "iso02.json", "--witness", "--oracle", "--seed", "3"],
+    "mu-witness-oracle-pure23": ["mu", "pure23.json", "--witness", "--oracle", "--seed", "3"],
     "suite-dpi": ["suite", "dpi", "--trials", "12", "--seed", "1", "--dims", "2x3"],
     "suite-tensor": ["suite", "tensor", "--trials", "12", "--seed", "1", "--dims", "2x3"],
     "suite-extremes": ["suite", "extremes", "--trials", "12", "--seed", "1", "--dims", "2x3"],

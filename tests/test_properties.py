@@ -1,0 +1,48 @@
+"""Property tests of mu and the hermitian ceiling over every dims pair 2x2-4x4.
+
+Examples are drawn deterministically (derandomize=True) with a fixed budget,
+so every run checks the same states.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import maxcorr as mc
+from test_correlation import haar_unitary, hermitian_ceiling
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+dims = st.integers(2, 4)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def mixed_states(draw):
+    d_a, d_b = draw(dims), draw(dims)
+    rank = draw(st.integers(1, d_a * d_b))
+    return mc.random_density(d_a, d_b, rank=rank, seed=draw(seeds))
+
+
+@PROPERTY
+@given(mixed_states(), seeds)
+def test_mu_and_ceiling_are_local_unitary_invariant(state, seed):
+    rng = np.random.default_rng(seed)
+    u = np.kron(haar_unitary(rng, state.d_a), haar_unitary(rng, state.d_b))
+    rotated = mc.BipartiteState(state.d_a, state.d_b, u @ state.rho @ u.conj().T)
+    assert abs(mc.mu_schmidt(rotated).mu - mc.mu_schmidt(state).mu) < 1e-9
+    assert abs(hermitian_ceiling(rotated) - hermitian_ceiling(state)) < 1e-9
+
+
+@PROPERTY
+@given(mixed_states())
+def test_ceiling_lies_between_zero_and_mu(state):
+    ceiling = hermitian_ceiling(state)
+    assert 0.0 <= ceiling <= mc.mu_schmidt(state).mu + 1e-12
+
+
+@PROPERTY
+@given(dims, dims, seeds)
+def test_ceiling_is_one_on_pure_entangled_states(d_a, d_b, seed):
+    state = mc.random_pure(d_a, d_b, seed=seed)
+    assert abs(hermitian_ceiling(state) - 1.0) < 1e-9
