@@ -417,44 +417,42 @@ def _trial_seeds(seed: int, count: int) -> list:
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
 
 
-def _suite_dpi(trials: int, seed: int, dims: tuple) -> tuple:
-    d_a, d_b = dims
-    seeds = _trial_seeds(seed, trials)
-    violations = 0
-    worst = np.inf
-    for t, s in enumerate(seeds):
-        n = d_a * d_b
-        state = random_density(d_a, d_b, rank=(t % n) + 1, seed=s)
-        side = "A" if t % 2 == 0 else "B"
-        d_in = d_a if side == "A" else d_b
-        d_out = 2 + (t % 2)
-        ch = random_channel(d_in, d_out, kraus_rank=(t % 3) + 1 + (d_in - 1) // d_out, seed=s + 1, side=side)
-        before = mu_schmidt(state).mu
-        after = mu_schmidt(apply_local(state, ch)).mu
-        margin = before + 1e-7 - after
-        worst = min(worst, margin)
-        if margin < 0.0:
-            violations += 1
-    return {"trials": trials, "worst_margin": float(worst)}, violations
+def _trial_suite(per_trial, key: str):
+    """A suite calling per_trial(t, s, d_a, d_b) on each seeded trial, which returns a
+    margin (key "worst_margin": min reported, violated below 0) or a gap
+    (key "worst_gap": max reported, violated above 1e-7)."""
+
+    def run(trials: int, seed: int, dims: tuple) -> tuple:
+        values = [per_trial(t, s, *dims) for t, s in enumerate(_trial_seeds(seed, trials))]
+        if key == "worst_margin":
+            worst, violations = min(values), sum(v < 0.0 for v in values)
+        else:
+            worst, violations = max(values), sum(v > 1e-7 for v in values)
+        return {"trials": trials, key: float(worst)}, int(violations)
+
+    return run
 
 
-def _suite_tensor(trials: int, seed: int, dims: tuple) -> tuple:
-    d_a, d_b = dims
-    seeds = _trial_seeds(seed, trials)
-    violations = 0
-    worst = 0.0
-    for t, s in enumerate(seeds):
-        n = d_a * d_b
-        r = random_density(d_a, d_b, rank=(t % n) + 1, seed=s)
-        q = random_density(d_a, d_b, rank=((t + 1) % n) + 1, seed=s + 1)
-        gap = abs(
-            mu_schmidt(tensor_bipartite(r, q)).mu
-            - max(mu_schmidt(r).mu, mu_schmidt(q).mu)
-        )
-        worst = max(worst, gap)
-        if gap > 1e-7:
-            violations += 1
-    return {"trials": trials, "worst_gap": float(worst)}, violations
+def _dpi_margin(t: int, s: int, d_a: int, d_b: int) -> float:
+    n = d_a * d_b
+    state = random_density(d_a, d_b, rank=(t % n) + 1, seed=s)
+    side = "A" if t % 2 == 0 else "B"
+    d_in = d_a if side == "A" else d_b
+    d_out = 2 + (t % 2)
+    ch = random_channel(d_in, d_out, kraus_rank=(t % 3) + 1 + (d_in - 1) // d_out, seed=s + 1, side=side)
+    before = mu_schmidt(state).mu
+    after = mu_schmidt(apply_local(state, ch)).mu
+    return before + 1e-7 - after
+
+
+def _tensor_gap(t: int, s: int, d_a: int, d_b: int) -> float:
+    n = d_a * d_b
+    r = random_density(d_a, d_b, rank=(t % n) + 1, seed=s)
+    q = random_density(d_a, d_b, rank=((t + 1) % n) + 1, seed=s + 1)
+    return abs(
+        mu_schmidt(tensor_bipartite(r, q)).mu
+        - max(mu_schmidt(r).mu, mu_schmidt(q).mu)
+    )
 
 
 def _suite_extremes(trials: int, seed: int, dims: tuple) -> tuple:
@@ -499,62 +497,44 @@ def _suite_semicontinuity(trials: int, seed: int, dims: tuple) -> tuple:
     return {"mu_along_sequence": values, "mu_at_limit": limit}, violations
 
 
-def _suite_ment_dpi(trials: int, seed: int, dims: tuple) -> tuple:
-    d_a, d_b = dims
-    seeds = _trial_seeds(seed, trials)
-    violations = 0
-    worst = np.inf
-    for t, s in enumerate(seeds):
-        n = d_a * d_b
-        state = random_density(d_a, d_b, rank=(t % n) + 1, seed=s)
-        dec = random_povm_decomposition(state, k=4, seed=s + 2)
-        side = "A" if t % 2 == 0 else "B"
-        d_in = d_a if side == "A" else d_b
-        ch = random_channel(d_in, 2, kraus_rank=2 if d_in <= 4 else 3, seed=s + 1, side=side)
-        pushed = Decomposition(
-            target=apply_local(state, ch),
-            weights=dec.weights,
-            components=tuple(apply_local(c, ch) for c in dec.components),
-        )
-        margin = mu_ent_upper(dec) + 1e-7 - mu_ent_upper(pushed)
-        worst = min(worst, margin)
-        if margin < 0.0:
-            violations += 1
-    return {"trials": trials, "worst_margin": float(worst)}, violations
+def _ment_dpi_margin(t: int, s: int, d_a: int, d_b: int) -> float:
+    n = d_a * d_b
+    state = random_density(d_a, d_b, rank=(t % n) + 1, seed=s)
+    dec = random_povm_decomposition(state, k=4, seed=s + 2)
+    side = "A" if t % 2 == 0 else "B"
+    d_in = d_a if side == "A" else d_b
+    ch = random_channel(d_in, 2, kraus_rank=2 if d_in <= 4 else 3, seed=s + 1, side=side)
+    pushed = Decomposition(
+        target=apply_local(state, ch),
+        weights=dec.weights,
+        components=tuple(apply_local(c, ch) for c in dec.components),
+    )
+    return mu_ent_upper(dec) + 1e-7 - mu_ent_upper(pushed)
 
 
-def _suite_ment_tensor(trials: int, seed: int, dims: tuple) -> tuple:
-    d_a, d_b = dims
-    seeds = _trial_seeds(seed, trials)
-    violations = 0
-    worst = 0.0
-    for t, s in enumerate(seeds):
-        n = d_a * d_b
-        r = random_density(d_a, d_b, rank=(t % n) + 1, seed=s)
-        q = random_density(d_a, d_b, rank=((t + 2) % n) + 1, seed=s + 1)
-        dr = random_povm_decomposition(r, k=3, seed=s + 2)
-        dq = random_povm_decomposition(q, k=3, seed=s + 3)
-        prod = Decomposition(
-            target=tensor_bipartite(r, q),
-            weights=np.outer(dr.weights, dq.weights).reshape(-1),
-            components=tuple(
-                tensor_bipartite(cr, cq) for cr in dr.components for cq in dq.components
-            ),
-        )
-        gap = abs(mu_ent_upper(prod) - max(mu_ent_upper(dr), mu_ent_upper(dq)))
-        worst = max(worst, gap)
-        if gap > 1e-7:
-            violations += 1
-    return {"trials": trials, "worst_gap": float(worst)}, violations
+def _ment_tensor_gap(t: int, s: int, d_a: int, d_b: int) -> float:
+    n = d_a * d_b
+    r = random_density(d_a, d_b, rank=(t % n) + 1, seed=s)
+    q = random_density(d_a, d_b, rank=((t + 2) % n) + 1, seed=s + 1)
+    dr = random_povm_decomposition(r, k=3, seed=s + 2)
+    dq = random_povm_decomposition(q, k=3, seed=s + 3)
+    prod = Decomposition(
+        target=tensor_bipartite(r, q),
+        weights=np.outer(dr.weights, dq.weights).reshape(-1),
+        components=tuple(
+            tensor_bipartite(cr, cq) for cr in dr.components for cq in dq.components
+        ),
+    )
+    return abs(mu_ent_upper(prod) - max(mu_ent_upper(dr), mu_ent_upper(dq)))
 
 
 SUITES = {
-    "dpi": _suite_dpi,
-    "tensor": _suite_tensor,
+    "dpi": _trial_suite(_dpi_margin, "worst_margin"),
+    "tensor": _trial_suite(_tensor_gap, "worst_gap"),
     "extremes": _suite_extremes,
     "semicontinuity": _suite_semicontinuity,
-    "ment-dpi": _suite_ment_dpi,
-    "ment-tensor": _suite_ment_tensor,
+    "ment-dpi": _trial_suite(_ment_dpi_margin, "worst_margin"),
+    "ment-tensor": _trial_suite(_ment_tensor_gap, "worst_gap"),
 }
 
 

@@ -13,12 +13,12 @@ alternating-ascent oracle solves the defining optimization directly and is
 used as an independent cross-check of the spectral route.
 
 Each entry point diagonalizes each marginal exactly once (linalg.hermitian_eig)
-and derives ranks, (pseudo-inverse) square roots and Lyapunov solves from it.
+and derives ranks, (pseudo-inverse) square roots and the hermitian witness from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
 
 _DEGENERACY_TOL = 1e-10
 _ZERO_DIRECTION = 1e-14
-_CEILING_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -349,15 +348,13 @@ def extract_witness(state: BipartiteState, rank_tol: float = RANK_TOL) -> Observ
     to a feasible pair whose objective equals the second Schmidt coefficient
     exactly, independent of spectral degeneracies. When the second
     coefficient is degenerate, any maximizer is returned and its multiplicity
-    recorded. A hermitian refinement (alternating ascent restricted to
-    hermitian observables, each half-step solved exactly via a Lyapunov
-    equation) replaces the pair when it reaches the same objective within
-    1e-8. It runs only if the pair is not hermitian and the hermitian
-    ceiling, the largest objective of any feasible hermitian pair (a closed
-    form from the same spectra), plus 1e-9 reaches that threshold.
+    recorded. A pair that is not hermitian is replaced by the maximizer of the
+    hermitian ceiling, the largest objective of any feasible hermitian pair (a
+    closed form from the same spectra), when the ceiling is within 1e-8 of the
+    objective; that pair is read off the ceiling's own singular vectors.
 
     One eigendecomposition per marginal (A checked hermitian and positive
-    semidefinite, then B) gives the roots and the Lyapunov solves;
+    semidefinite, then B) gives the roots and the ceiling;
     mu_schmidt(witness=True) passes its own and diagonalizes nothing again.
     """
     rho_a, rho_b = state.marginal("A"), state.marginal("B")
@@ -395,11 +392,13 @@ def _witness(state: BipartiteState, sp: _Spectra, rank_tol: float) -> Observable
 
     pair = _pair_stats(state, sp.rho_a, sp.rho_b, x, y, _is_hermitian_pair(x, y), mult)
 
-    # No hermitian pair beats the ceiling: refine only when the result could be kept.
-    if not pair.hermitian and _hermitian_ceiling(state, sp, rank_tol) + _CEILING_MARGIN >= pair.objective - 1e-8:
-        herm = _hermitian_refinement(state, sp, y, rank_tol)
-        if herm is not None and herm.objective >= pair.objective - 1e-8:
-            return replace(herm, second_multiplicity=mult)
+    if not pair.hermitian:
+        ceiling, hx, hy = _hermitian_ceiling(state, sp, rank_tol)
+        if ceiling >= pair.objective - 1e-8:
+            hx, _ = _center_normalize(hx, sp.rho_a, np.eye(state.d_a))
+            hy, _ = _center_normalize(hy, sp.rho_b, np.eye(state.d_b))
+            if hx is not None and hy is not None:
+                return _pair_stats(state, sp.rho_a, sp.rho_b, hx, hy, True, mult)
     return pair
 
 
@@ -408,15 +407,6 @@ def _pair_sums(w: np.ndarray, rank_tol: float):
     denom = w[:, None] + w[None, :]
     keep = denom > linalg.support_cut(w, rank_tol)
     return keep, np.where(keep, denom, 1.0)
-
-
-def _lyapunov_solver(w: np.ndarray, v: np.ndarray, rank_tol: float):
-    """target -> G solving rho G + G rho = 2 target on the support, rho = v diag(w) v^dag.
-
-    The eigenbasis adjoint and the masked denominator are built once per marginal.
-    """
-    vh, (keep, safe) = v.conj().T, _pair_sums(w, rank_tol)
-    return lambda target: v @ np.where(keep, 2.0 * (vh @ target @ v) / safe, 0.0) @ vh
 
 
 @lru_cache(maxsize=16)
@@ -434,8 +424,8 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
-def _hermitian_ceiling(state: BipartiteState, sp: _Spectra, rank_tol: float) -> float:
-    """Largest objective of any feasible hermitian pair, from the spectra already taken.
+def _hermitian_ceiling(state: BipartiteState, sp: _Spectra, rank_tol: float) -> tuple:
+    """Largest objective of any feasible hermitian pair and a pair (X, Y) reaching it.
 
     For hermitian X, tr(rho_A X^2) = <X, (rho_A X + X rho_A)/2>, which weighs
     eigenbasis entry (i, j) by (a_i + a_j)/2. So the realigned state, rotated
@@ -443,7 +433,10 @@ def _hermitian_ceiling(state: BipartiteState, sp: _Spectra, rank_tol: float) -> 
     support (and likewise on B) and taken in orthonormal hermitian coordinates,
     is a real matrix whose unit spheres are the normalized observables. Its top
     singular pair is the identity on each side with value 1 (Cauchy-Schwarz),
-    so the zero-mean maximum is its second singular value.
+    so the zero-mean maximum is its second singular value, and the second
+    singular vectors mapped back through the factors are a maximizing pair. It
+    is feasible up to rounding, except that when 1 is a repeated singular
+    value (pure states) it may mix with the identity: center and normalize it.
     """
     factors = []
     for w, v in (sp.eig_a, sp.eig_b):
@@ -452,41 +445,7 @@ def _hermitian_ceiling(state: BipartiteState, sp: _Spectra, rank_tol: float) -> 
         rotate = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(w.size**2, w.size**2)
         factors.append((rotate * scale) @ _hermitian_basis(w.size))
     m = factors[0].T @ linalg.realign(state.rho, state.d_a, state.d_b) @ factors[1]
-    s = np.linalg.svd(m.real, compute_uv=False)
-    return float(s[1]) if s.size > 1 else 0.0
-
-
-def _hermitian_refinement(state, sp: _Spectra, y0, rank_tol, iters: int = 400, tol: float = 1e-13):
-    """Alternating ascent over hermitian observables, seeded from a complex Y."""
-    rho_a, rho_b = sp.rho_a, sp.rho_b
-    solve_a = _lyapunov_solver(*sp.eig_a, rank_tol)
-    solve_b = _lyapunov_solver(*sp.eig_b, rank_tol)
-    eye_a, eye_b = np.eye(state.d_a), np.eye(state.d_b)
-    rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
-
-    y, best_norm = None, -1.0
-    for alpha in np.linspace(0.0, np.pi, 24, endpoint=False):
-        h = y0 * np.exp(1j * alpha)
-        cand, norm = _center_normalize((h + h.conj().T) / 2.0, rho_b, eye_b)
-        if cand is not None and norm > best_norm:
-            y, best_norm = cand, norm
-    if y is None:
-        return None
-    x = None
-    value = 0.0
-    prev = -1.0
-    for _ in range(iters):
-        c = _contract_b(rho4, y)
-        g = solve_a((c + c.conj().T) / 2.0)
-        x, _ = _center_normalize((g + g.conj().T) / 2.0, rho_a, eye_a)
-        if x is None:
-            return None
-        e = _contract_a(rho4, x)
-        g = solve_b((e + e.conj().T) / 2.0)
-        y, value = _center_normalize((g + g.conj().T) / 2.0, rho_b, eye_b)
-        if y is None:
-            return None
-        if abs(value - prev) < tol:
-            break
-        prev = value
-    return _pair_stats(state, rho_a, rho_b, x, y, True, 1)
+    u, s, vh = np.linalg.svd(m.real, full_matrices=False)
+    x = (factors[0] @ u[:, 1]).reshape(state.d_a, state.d_a).T
+    y = (factors[1] @ vh[1]).reshape(state.d_b, state.d_b).T
+    return float(s[1]), x, y

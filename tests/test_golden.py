@@ -26,6 +26,9 @@ CASES = {
     "suite-dpi": ["suite", "dpi", "--trials", "12", "--seed", "1", "--dims", "2x3"],
     "suite-tensor": ["suite", "tensor", "--trials", "12", "--seed", "1", "--dims", "2x3"],
     "suite-extremes": ["suite", "extremes", "--trials", "12", "--seed", "1", "--dims", "2x3"],
+    "suite-semicontinuity": ["suite", "semicontinuity", "--trials", "12", "--seed", "1", "--dims", "2x3"],
+    "suite-ment-dpi": ["suite", "ment-dpi", "--trials", "12", "--seed", "1", "--dims", "2x3"],
+    "suite-ment-tensor": ["suite", "ment-tensor", "--trials", "12", "--seed", "1", "--dims", "2x3"],
     "ment-random22": ["ment", "random22.json", "--restarts", "1", "--iters", "120", "--seed", "0"],
 }
 
