@@ -43,7 +43,6 @@ from .errors import (
 )
 from .linalg import (
     hermitian_eig,
-    kron,
     partial_trace,
     partial_transpose,
     psd_pinv_sqrt,

@@ -36,6 +36,7 @@ from .defaults import (
 )
 from .entanglement import (
     _component_mus,
+    _isotropic_noise,
     _twirl_noise,
     bell_fidelity,
     decomposition_search,
@@ -302,9 +303,8 @@ def cmd_ment(args) -> int:
                 f"certified bounds crossed: upper {upper!r} below lower {lower!r}"
             )
             violation = True
-        tw = twirl_exact(state)
-        if float(np.max(np.abs(state.rho - tw.rho))) < 1e-9:
-            delta = _twirl_noise(state)
+        delta = _isotropic_noise(state)
+        if delta is not None:
             results["isotropic"] = {"epsilon": delta}
             if delta <= 1.0:
                 iso = lambda_bounds(delta)
@@ -461,6 +461,7 @@ def _suite_extremes(trials: int, seed: int, dims: tuple) -> tuple:
     violations = 0
     worst_product = 0.0
     worst_pure = 1.0
+    pure_mu = 1.0 if min(d_a, d_b) > 1 else 0.0
     for t, s in enumerate(seeds):
         if t % 2 == 0:
             mu = mu_schmidt(random_product(d_a, d_b, seed=s)).mu
@@ -468,9 +469,10 @@ def _suite_extremes(trials: int, seed: int, dims: tuple) -> tuple:
             if mu > 1e-8:
                 violations += 1
         else:
+            # A pure state is maximally correlated unless a side of dimension 1 makes it a product.
             mu = mu_schmidt(random_pure(d_a, d_b, seed=s)).mu
             worst_pure = min(worst_pure, mu)
-            if mu < 1.0 - 1e-8:
+            if abs(mu - pure_mu) > 1e-8:
                 violations += 1
     return (
         {
@@ -644,10 +646,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MaxcorrError as exc:
+    except (OSError, MaxcorrError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -126,10 +126,6 @@ class QuasiConvexityReport:
     merged: Decomposition
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
 def mu_ent_upper(
     decomposition: Decomposition,
     rank_tol: float = RANK_TOL,
@@ -221,6 +217,14 @@ def _isotropic_matrix(delta: float) -> np.ndarray:
     return (1.0 - delta) * bell_projector() + delta * np.eye(4, dtype=np.complex128) / 4.0
 
 
+def _isotropic_noise(state: BipartiteState) -> float | None:
+    """Noise delta of the noisy Bell state a two-qubit state equals entrywise within 1e-9, else None."""
+    if (state.d_a, state.d_b) != (2, 2):
+        return None
+    delta = _twirl_noise(state)
+    return delta if np.max(np.abs(state.rho - _isotropic_matrix(delta))) < 1e-9 else None
+
+
 def twirl_exact(state: BipartiteState) -> BipartiteState:
     """Average of (U (x) U*) rho (U (x) U*)^dag over Haar-random U, in closed form.
 
@@ -244,7 +248,7 @@ def twirl_clifford_average(state: BipartiteState) -> BipartiteState:
     for c in single_qubit_cliffords():
         u = np.kron(c, c.conj())
         acc += u @ state.rho @ u.conj().T
-    return BipartiteState(2, 2, _sym(acc / 24.0))
+    return BipartiteState(2, 2, linalg.hermitian_part(acc / 24.0))
 
 
 def _clifford_orbit_products(source_ket: np.ndarray) -> list:
@@ -327,7 +331,7 @@ def lambda_bounds(epsilon: float) -> IsotropicBounds:
 def ppt_check(state: BipartiteState) -> PptReport:
     """Smallest eigenvalue of the partial transpose and the PPT verdict."""
     pt = linalg.partial_transpose(state.rho, state.d_a, state.d_b, "B")
-    w = np.linalg.eigvalsh(_sym(pt))
+    w = np.linalg.eigvalsh(linalg.hermitian_part(pt))
     min_eig = float(w[0])
     return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= -1e-10)
 
@@ -337,13 +341,9 @@ def _trivial_decomposition(target: BipartiteState) -> Decomposition:
 
 
 def _clifford_candidate(target: BipartiteState) -> Decomposition | None:
-    """Product decomposition when the target is (numerically) a noisy Bell state."""
-    if (target.d_a, target.d_b) != (2, 2):
-        return None
-    delta = _twirl_noise(target)
-    if np.max(np.abs(target.rho - _isotropic_matrix(delta))) > 1e-9:
-        return None
-    if delta < 2.0 / 3.0 - 1e-12:
+    """Product decomposition when the target is (numerically) a separable noisy Bell state."""
+    delta = _isotropic_noise(target)
+    if delta is None or delta < 2.0 / 3.0 - 1e-12:
         return None
     return _iso_product_decomposition(min(delta, 4.0 / 3.0), target)
 
@@ -364,9 +364,7 @@ def _takagi_symmetric(t: np.ndarray, cut_rel: float = 1e-9):
     Returns (lam descending, U).
     """
     r = t.shape[0]
-    m = np.block([[t.real, t.imag], [t.imag, -t.real]])
-    m = (m + m.T) / 2.0
-    w, q = np.linalg.eigh(m)
+    w, q = np.linalg.eigh(linalg.hermitian_part(np.block([[t.real, t.imag], [t.imag, -t.real]])))
     cut = cut_rel * max(1.0, float(np.max(np.abs(w))))
     cols = []
     lams = []
@@ -400,7 +398,7 @@ def _product_ensemble_candidate(target: BipartiteState) -> Decomposition | None:
     """
     if (target.d_a, target.d_b) != (2, 2):
         return None
-    w, v = np.linalg.eigh(_sym(target.rho))
+    w, v = np.linalg.eigh(linalg.hermitian_part(target.rho))
     ensemble = v * np.sqrt(np.clip(w, 0.0, None))
     overlap = ensemble.T @ _SPIN_FLIP @ ensemble
     overlap = (overlap + overlap.T) / 2.0
@@ -473,13 +471,13 @@ class _PovmObjective:
         self.target = target
         self.k = k
         self.rank_tol = rank_tol
-        self.sqrt_rho = linalg.psd_sqrt(_sym(target.rho))
+        self.sqrt_rho = linalg.psd_sqrt(linalg.hermitian_part(target.rho))
 
     def evaluate(self, blocks: list, kept: bool = False):
         b = np.stack(blocks)
         s = (b.conj().swapaxes(-1, -2) @ b).sum(axis=0)
         c = b @ linalg.pinv_sqrt_stack(s[None], self.rank_tol)[0]
-        raw = _sym(self.sqrt_rho @ (c.conj().swapaxes(-1, -2) @ c) @ self.sqrt_rho)
+        raw = linalg.hermitian_part(self.sqrt_rho @ (c.conj().swapaxes(-1, -2) @ c) @ self.sqrt_rho)
         p = np.real(np.trace(raw, axis1=1, axis2=2))
         keep = p > _WEIGHT_FLOOR
         comps = raw[keep] / p[keep, None, None]

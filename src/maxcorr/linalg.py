@@ -3,7 +3,12 @@
 All matrices are numpy complex128 arrays in C (row-major) order. A bipartite
 operator on dimensions (d_a, d_b) is a (d_a*d_b) x (d_a*d_b) matrix whose
 composite index packs the A index first: row i*d_b + j corresponds to the
-basis vector |i>_A |j>_B.
+basis vector |i>_A |j>_B. The bipartite helpers also take a (k, n, n) stack.
+
+pinv_sqrt_from_eig is the one pseudo-inverse square root, for hermitian_eig's
+checked pair and pinv_sqrt_stack's batched one alike. It sums in numpy's ascending
+eigenvalue order, so the search's batched eigh feeds it without reordering, and
+mu_schmidt and mu_stack give a state the same mu to the last bit.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .errors import (
 )
 
 __all__ = [
+    "hermitian_part",
     "hermitian_eig",
     "singular_values",
     "check_psd",
@@ -28,7 +34,6 @@ __all__ = [
     "pinv_from_eig",
     "psd_sqrt",
     "psd_pinv_sqrt",
-    "kron",
     "partial_trace",
     "partial_transpose",
     "realign",
@@ -38,22 +43,27 @@ __all__ = [
 ]
 
 
-def _as_square(m: np.ndarray) -> np.ndarray:
+def _as_square(m: np.ndarray, stacked: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-1] != m.shape[-2]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    m = _as_square(m)
+    m = _as_square(m, stacked=True)
     if d_a < 1 or d_b < 1:
         raise DimensionMismatchError(f"dimensions must be positive, got ({d_a}, {d_b})")
-    if m.shape[0] != d_a * d_b:
+    if m.shape[-1] != d_a * d_b:
         raise DimensionMismatchError(
-            f"matrix of size {m.shape[0]} does not factor as {d_a} x {d_b}"
+            f"matrix of size {m.shape[-1]} does not factor as {d_a} x {d_b}"
         )
-    return m
+    return m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of one matrix or of each matrix in a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):
@@ -67,7 +77,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
     if dev > tol:
         raise NotHermitianError(f"matrix deviates from its adjoint by {dev:.3e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(m))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -82,22 +92,32 @@ def check_psd(w: np.ndarray, psd_tol: float = PSD_TOL) -> None:
         raise NegativeEigenvalueError(f"eigenvalue {w[-1]:.3e} below zero")
 
 
-def support_cut(w: np.ndarray, rank_tol: float = RANK_TOL) -> float:
-    """Eigenvalues above this bound span the support: rank_tol times the largest, floored at 0."""
+def support_cut(w: np.ndarray, rank_tol: float = RANK_TOL) -> float | np.ndarray:
+    """Eigenvalues above this bound span the support: rank_tol times the largest, floored at 0.
+
+    w is descending along its last axis; a stack of spectra gets a (..., 1) array of bounds.
+    """
+    if w.ndim > 1:
+        return rank_tol * np.maximum(w[..., :1], 0.0)
     return rank_tol * max(float(w[0]), 0.0) if w.size else 0.0
 
 
 def sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Hermitian square root from an eigendecomposition (w, v) given by hermitian_eig."""
-    out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
 def pinv_sqrt_from_eig(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Pseudo-inverse square root from hermitian_eig's (w, v): 1/sqrt(w) above support_cut, 0 below."""
+    """Pseudo-inverse square root: 1/sqrt(w) above support_cut, 0 below.
+
+    (w, v) is hermitian_eig's descending pair, or a stack of them. The terms are
+    summed in ascending eigenvalue order, as numpy's eigh returns them, and the
+    sum is not symmetrized, so the search's hot loop (pinv_sqrt_stack) pays for
+    neither and every caller gets the same bits.
+    """
     inv = np.where(w > support_cut(w, rank_tol), 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-    out = (v * inv) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    v = v[..., ::-1]
+    return (v * inv[..., None, ::-1]) @ v.conj().swapaxes(-1, -2)
 
 
 def pinv_from_eig(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -122,33 +142,23 @@ def psd_pinv_sqrt(
     return pinv_sqrt_from_eig(w, v, rank_tol)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the A index packed first."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
 def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
-    """Trace out the named subsystem, returning the other side's operator."""
-    m = _check_bipartite(m, d_a, d_b)
-    m4 = m.reshape(d_a, d_b, d_a, d_b)
+    """Trace out the named subsystem, returning the other side's operator (per matrix of a stack)."""
+    m4 = _check_bipartite(m, d_a, d_b)
     if side == "A":
-        return np.einsum("ijik->jk", m4)
+        return np.einsum("...ijik->...jk", m4)
     if side == "B":
-        return np.einsum("ijkj->ik", m4)
+        return np.einsum("...ijkj->...ik", m4)
     raise DimensionMismatchError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
-    """Transpose the named subsystem, leaving the other untouched."""
-    m = _check_bipartite(m, d_a, d_b)
-    m4 = m.reshape(d_a, d_b, d_a, d_b)
-    if side == "A":
-        out = m4.transpose(2, 1, 0, 3)
-    elif side == "B":
-        out = m4.transpose(0, 3, 2, 1)
-    else:
+    """Transpose the named subsystem, leaving the other untouched (per matrix of a stack)."""
+    m4 = _check_bipartite(m, d_a, d_b)
+    if side not in ("A", "B"):
         raise DimensionMismatchError(f"side must be 'A' or 'B', got {side!r}")
-    return out.reshape(d_a * d_b, d_a * d_b).copy()
+    out = m4.swapaxes(-4, -2) if side == "A" else m4.swapaxes(-3, -1)
+    return out.reshape(m4.shape[:-4] + (d_a * d_b, d_a * d_b)).copy()
 
 
 def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -158,11 +168,10 @@ def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     R[i*d_a + i', j*d_b + j'] = m[i*d_b + j, i'*d_b + j'], so a product term
     A (x) B realigns to the rank-one outer product vec(A) vec(B)^T and the
     singular values of R are the operator Schmidt coefficients of m under the
-    Hilbert-Schmidt inner product.
+    Hilbert-Schmidt inner product. A (k, n, n) stack realigns matrix by matrix.
     """
-    m = _check_bipartite(m, d_a, d_b)
-    m4 = m.reshape(d_a, d_b, d_a, d_b)
-    return m4.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b).copy()
+    m4 = _check_bipartite(m, d_a, d_b)
+    return m4.swapaxes(-3, -2).reshape(m4.shape[:-4] + (d_a * d_a, d_b * d_b)).copy()
 
 
 def normalized_form(rho: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -175,13 +184,11 @@ def normalized_form(rho: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray, d_a: 
 def pinv_sqrt_stack(ms: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Pseudo-inverse square roots of a (k, n, n) stack in one batched eigh.
 
-    As psd_pinv_sqrt per matrix (cut at rank_tol times the largest eigenvalue),
-    but unchecked: the inputs must be positive semidefinite by construction.
+    As psd_pinv_sqrt per matrix, through the same pinv_sqrt_from_eig, but
+    unchecked: the inputs must be hermitian positive semidefinite by construction.
     """
-    w, v = np.linalg.eigh((ms + ms.conj().swapaxes(-1, -2)) / 2.0)
-    cut = rank_tol * np.maximum(w[..., -1:], 0.0)
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-    return (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eigh(hermitian_part(ms))
+    return pinv_sqrt_from_eig(w[..., ::-1], v[..., ::-1], rank_tol)
 
 
 def mu_stack(rhos: np.ndarray, d_a: int, d_b: int, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -189,14 +196,11 @@ def mu_stack(rhos: np.ndarray, d_a: int, d_b: int, rank_tol: float = RANK_TOL) -
 
     Each value is the second singular value of the realigned normalized form
     (1 (x) rho_B^{-1/2}) rho (rho_A^{-1/2} (x) 1), or 0 if there is only one.
-    One batched eigh per marginal stack, normalized_form, one batched SVD;
-    inputs are not validated.
+    The marginals, normalized form and realignment are mu_schmidt's own, so
+    each value equals mu_schmidt's bit for bit; one batched eigh per marginal
+    stack and one batched SVD, and the states are not validated.
     """
-    k = rhos.shape[0]
-    r5 = rhos.reshape(k, d_a, d_b, d_a, d_b)
-    pa = pinv_sqrt_stack(np.einsum("nijkj->nik", r5), rank_tol)
-    pb = pinv_sqrt_stack(np.einsum("nijik->njk", r5), rank_tol)
-    tilde = normalized_form(rhos, pa, pb, d_a, d_b)
-    realigned = tilde.reshape(r5.shape).transpose(0, 1, 3, 2, 4).reshape(k, d_a * d_a, d_b * d_b)
-    s = np.linalg.svd(realigned, compute_uv=False)
-    return s[:, 1] if s.shape[1] > 1 else np.zeros(k)
+    pa = pinv_sqrt_stack(partial_trace(rhos, d_a, d_b, "B"), rank_tol)
+    pb = pinv_sqrt_stack(partial_trace(rhos, d_a, d_b, "A"), rank_tol)
+    s = np.linalg.svd(realign(normalized_form(rhos, pa, pb, d_a, d_b), d_a, d_b), compute_uv=False)
+    return s[:, 1] if s.shape[1] > 1 else np.zeros(len(rhos))

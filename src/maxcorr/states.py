@@ -167,15 +167,12 @@ def validate(
     rho = state.rho
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
     trace_dev = float(abs(rho.trace() - 1.0))
-    sym = (rho + rho.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
-    min_eig = float(eigs[0])
+    min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(rho))[0])
 
     ranks = []
     for side in ("A", "B"):
-        w = np.linalg.eigvalsh((lambda m: (m + m.conj().T) / 2.0)(state.marginal(side)))
-        top = max(float(w[-1]), 0.0)
-        ranks.append(int(np.sum(w > rank_tol * top)) if top > 0.0 else 0)
+        w = np.linalg.eigvalsh(linalg.hermitian_part(state.marginal(side)))[::-1]
+        ranks.append(int(np.count_nonzero(w > linalg.support_cut(w, rank_tol))))
 
     failures = []
     if herm_dev > hermiticity_tol:
@@ -256,7 +253,7 @@ def random_density(d_a: int, d_b: int, rank: int | None = None, seed: int = 0) -
     g = _ginibre(np.random.default_rng(seed), n, rank)
     rho = g @ g.conj().T
     rho /= rho.trace()
-    return BipartiteState(d_a, d_b, (rho + rho.conj().T) / 2.0)
+    return BipartiteState(d_a, d_b, linalg.hermitian_part(rho))
 
 
 def random_pure(d_a: int, d_b: int, seed: int = 0) -> BipartiteState:
@@ -274,7 +271,7 @@ def random_product(d_a: int, d_b: int, seed: int = 0) -> BipartiteState:
         g = _ginibre(rng, d, d)
         m = g @ g.conj().T
         m /= m.trace()
-        parts.append((m + m.conj().T) / 2.0)
+        parts.append(linalg.hermitian_part(m))
     return BipartiteState(d_a, d_b, np.kron(parts[0], parts[1]))
 
 
@@ -300,19 +297,16 @@ def random_channel(
 
 def apply_local(state: BipartiteState, channel: LocalChannel) -> BipartiteState:
     """Push a state through a channel on one side; output is symmetrized."""
+    d_in = state.d_a if channel.side == "A" else state.d_b
+    if channel.d_in != d_in:
+        raise DimensionMismatchError(
+            f"channel expects d_in = {channel.d_in}, state has d_{channel.side.lower()} = {d_in}"
+        )
     if channel.side == "A":
-        if channel.d_in != state.d_a:
-            raise DimensionMismatchError(
-                f"channel expects d_in = {channel.d_in}, state has d_a = {state.d_a}"
-            )
         ops = [np.kron(k, np.eye(state.d_b)) for k in channel.kraus]
         d_a, d_b = channel.d_out, state.d_b
     else:
-        if channel.d_in != state.d_b:
-            raise DimensionMismatchError(
-                f"channel expects d_in = {channel.d_in}, state has d_b = {state.d_b}"
-            )
         ops = [np.kron(np.eye(state.d_a), k) for k in channel.kraus]
         d_a, d_b = state.d_a, channel.d_out
     out = sum(op @ state.rho @ op.conj().T for op in ops)
-    return BipartiteState(d_a, d_b, (out + out.conj().T) / 2.0)
+    return BipartiteState(d_a, d_b, linalg.hermitian_part(out))

@@ -119,6 +119,16 @@ def test_ment_component_mu_meets_upper_bound_exactly(tmp_path, capsys, dims, see
     assert max(res["decomposition"]["component_mu"]) == res["upper_bound"]
 
 
+def test_ment_trivial_certificate_equals_mu(tmp_path, capsys):
+    """With no search the certificate is the state itself, so upper_bound is mu to the last bit."""
+    path = str(tmp_path / "st.json")
+    report(capsys, "gen", "random", "--da", "3", "--db", "2", "--seed", "3", "-o", path)
+    _, rep = report(capsys, "ment", path, "--restarts", "0")
+    res = rep["results"]
+    assert res["upper_bound"] == res["mu"]
+    assert res["decomposition"]["component_mu"] == [res["mu"]]
+
+
 def test_iso_bounds_command(capsys):
     code, rep = report(capsys, "iso-bounds", "--epsilon", "0.4")
     assert code == 0
@@ -163,6 +173,15 @@ def test_property_suites_pass(name, trials, capsys):
     code, rep = report(capsys, "suite", name, "--trials", str(trials), "--seed", "1")
     assert code == 0
     assert rep["results"]["violations"] == 0
+
+
+@pytest.mark.parametrize("dims", ["1x3", "3x1"])
+def test_extremes_suite_on_a_side_of_dimension_one(dims, capsys):
+    """A pure state with a one-dimensional side is a product, so the suite expects mu 0 there."""
+    code, rep = report(capsys, "suite", "extremes", "--trials", "4", "--seed", "2", "--dims", dims)
+    assert code == 0
+    assert rep["results"]["violations"] == 0
+    assert rep["results"]["worst_pure_mu"] == 0.0
 
 
 def test_ment_suites_pass(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maxcorr import linalg
-from maxcorr.errors import NotHermitianError
+from maxcorr.errors import DimensionMismatchError, NotHermitianError, NotSquareError
 from maxcorr.states import random_density, random_product, random_pure
 
 
@@ -110,6 +110,25 @@ def test_realign_bell_singular_values():
     assert np.max(np.abs(sv - 0.5)) < 1e-12
 
 
+def test_bipartite_helpers_act_per_matrix_on_a_stack():
+    rng = np.random.default_rng(29)
+    ms = np.stack([random_psd(rng, 6) for _ in range(3)])
+    for got, want in [
+        (linalg.partial_trace(ms, 2, 3, "A"), [linalg.partial_trace(m, 2, 3, "A") for m in ms]),
+        (linalg.partial_trace(ms, 2, 3, "B"), [linalg.partial_trace(m, 2, 3, "B") for m in ms]),
+        (linalg.partial_transpose(ms, 2, 3, "A"), [linalg.partial_transpose(m, 2, 3, "A") for m in ms]),
+        (linalg.partial_transpose(ms, 2, 3, "B"), [linalg.partial_transpose(m, 2, 3, "B") for m in ms]),
+        (linalg.realign(ms, 2, 3), [linalg.realign(m, 2, 3) for m in ms]),
+    ]:
+        assert np.array_equal(got, np.stack(want))
+    with pytest.raises(NotSquareError):
+        linalg.realign(ms[:, :, :5], 2, 3)
+    with pytest.raises(NotSquareError):
+        linalg.partial_trace(ms[None], 2, 3, "A")
+    with pytest.raises(DimensionMismatchError):
+        linalg.partial_trace(ms, 3, 3, "A")
+
+
 def test_singular_values_descending():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((5, 3))
@@ -147,6 +166,18 @@ def test_mu_stack_extremes(d_a, d_b):
     if min(d_a, d_b) > 1:
         pures = np.stack([random_pure(d_a, d_b, seed=s).rho for s in range(3)])
         assert np.max(np.abs(linalg.mu_stack(pures, d_a, d_b) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("d_a,d_b", DIM_PAIRS)
+def test_mu_stack_is_bit_identical_to_mu_schmidt(d_a, d_b):
+    """The search's kernel and mu_schmidt share one arithmetic, so a one-component certificate is mu exactly."""
+    from maxcorr.correlation import mu_schmidt
+
+    n = d_a * d_b
+    states = [random_density(d_a, d_b, rank=r, seed=10 * r + s) for r in range(1, n + 1) for s in range(2)]
+    got = linalg.mu_stack(np.stack([st.rho for st in states]), d_a, d_b)
+    assert got.tolist() == [mu_schmidt(st).mu for st in states]
+    assert [linalg.mu_stack(st.rho[None], d_a, d_b)[0] for st in states] == got.tolist()
 
 
 def test_mu_stack_of_empty_stack_is_empty():
