@@ -43,15 +43,10 @@ __all__ = [
 ]
 
 
-def _as_square(m: np.ndarray, stacked: bool = False) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-1] != m.shape[-2]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    m = _as_square(m, stacked=True)
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     if d_a < 1 or d_b < 1:
         raise DimensionMismatchError(f"dimensions must be positive, got ({d_a}, {d_b})")
     if m.shape[-1] != d_a * d_b:
@@ -73,7 +68,9 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):
     the matching columns of v. The input is symmetrized before the solve;
     deviations from the adjoint beyond tol raise NotHermitianError.
     """
-    m = _as_square(m)
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
     if dev > tol:
         raise NotHermitianError(f"matrix deviates from its adjoint by {dev:.3e}")
@@ -92,14 +89,13 @@ def check_psd(w: np.ndarray, psd_tol: float = PSD_TOL) -> None:
         raise NegativeEigenvalueError(f"eigenvalue {w[-1]:.3e} below zero")
 
 
-def support_cut(w: np.ndarray, rank_tol: float = RANK_TOL) -> float | np.ndarray:
+def support_cut(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Eigenvalues above this bound span the support: rank_tol times the largest, floored at 0.
 
-    w is descending along its last axis; a stack of spectra gets a (..., 1) array of bounds.
+    w is descending along its last axis; the bound has shape (..., 1), one per spectrum,
+    and is empty for an empty spectrum.
     """
-    if w.ndim > 1:
-        return rank_tol * np.maximum(w[..., :1], 0.0)
-    return rank_tol * max(float(w[0]), 0.0) if w.size else 0.0
+    return rank_tol * np.maximum(w[..., :1], 0.0)
 
 
 def sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -115,7 +111,7 @@ def pinv_sqrt_from_eig(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL)
     sum is not symmetrized, so the search's hot loop (pinv_sqrt_stack) pays for
     neither and every caller gets the same bits.
     """
-    inv = np.where(w > support_cut(w, rank_tol), 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+    inv = np.where(w > support_cut(w, rank_tol), 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
     v = v[..., ::-1]
     return (v * inv[..., None, ::-1]) @ v.conj().swapaxes(-1, -2)
 

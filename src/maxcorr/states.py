@@ -297,15 +297,18 @@ def random_channel(
 
 def apply_local(state: BipartiteState, channel: LocalChannel) -> BipartiteState:
     """Push a state through a channel on one side; output is symmetrized."""
-    d_in = state.d_a if channel.side == "A" else state.d_b
-    if channel.d_in != d_in:
-        raise DimensionMismatchError(
-            f"channel expects d_in = {channel.d_in}, state has d_{channel.side.lower()} = {d_in}"
-        )
     if channel.side == "A":
+        if channel.d_in != state.d_a:
+            raise DimensionMismatchError(
+                f"channel expects d_in = {channel.d_in}, state has d_a = {state.d_a}"
+            )
         ops = [np.kron(k, np.eye(state.d_b)) for k in channel.kraus]
         d_a, d_b = channel.d_out, state.d_b
     else:
+        if channel.d_in != state.d_b:
+            raise DimensionMismatchError(
+                f"channel expects d_in = {channel.d_in}, state has d_b = {state.d_b}"
+            )
         ops = [np.kron(np.eye(state.d_a), k) for k in channel.kraus]
         d_a, d_b = state.d_a, channel.d_out
     out = sum(op @ state.rho @ op.conj().T for op in ops)

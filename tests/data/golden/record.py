@@ -1,16 +1,16 @@
 """Re-record the golden CLI reports after a change that moves their floats.
 
-Runs the cases of tests/test_golden.py (all, or the named ones) through that
-test's own pinned_report, with its working directory and environment, and
-compares each report with the file under reports/. For every report that
-differs it prints how many floats changed and the largest change. With
+Runs every case of tests/test_golden.py through that test's own
+pinned_report, with its working directory and environment, and compares each
+report with the file under reports/. For every report that differs it prints
+how many floats changed and the largest change. With
 --write it rewrites the reports that moved, but it writes nothing when any
 report changed more than float values: a key, a string, a bool, an int or a
 list length.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/data/golden/record.py [--write] [NAME ...]
+    PYTHONPATH=src python tests/data/golden/record.py [--write]
 """
 
 from __future__ import annotations
@@ -64,18 +64,14 @@ def float_changes(old, new, where: str = "$") -> tuple:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Re-record golden CLI reports whose floats moved.")
-    parser.add_argument("names", nargs="*", help="cases of test_golden.CASES (default: all)")
     parser.add_argument("--write", action="store_true", help="rewrite the reports that moved")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.names) - set(test_golden.CASES))
-    if unknown:
-        parser.error(f"unknown cases: {', '.join(unknown)}")
 
     os.chdir(test_golden.GOLDEN)
     os.environ.pop("MAXCORR_TOL", None)
     reports = test_golden.GOLDEN / "reports"
     moved, refused = {}, []
-    for name in args.names or sorted(test_golden.CASES):
+    for name in sorted(test_golden.CASES):
         new = pinned(test_golden.CASES[name])
         old = (reports / f"{name}.json").read_text(encoding="utf-8")
         if new == old:
