@@ -100,7 +100,7 @@ def support_cut(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 def sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Hermitian square root from an eigendecomposition (w, v) given by hermitian_eig."""
-    return hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    return hermitian_part((v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T)
 
 
 def pinv_sqrt_from_eig(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
