@@ -9,13 +9,13 @@ are out of reach in general, so everything here produces certified bounds:
   (fidelity_mu_lower_bound applied inside lambda_bounds);
 * for the noisy Bell family the two meet the known bracket
   [max(0, 1 - 3 eps / 2), 1 - eps], collapsing to [0, 0] once the state
-  turns separable at eps >= 2/3, where an explicit 24-term product
-  decomposition built from single-qubit Clifford rotations is produced.
+  turns separable at eps >= 2/3, where the closed-form product ensemble
+  gives an explicit decomposition into at most four pure product states.
 
 decomposition_search is a heuristic: it parametrizes decompositions by POVMs
 (so every iterate reconstructs the target identically) and locally minimizes
-the worst component correlation, after trying structured candidates, among
-them a closed-form product ensemble that handles every separable two-qubit
+the worst component correlation, after trying the trivial decomposition and
+the closed-form product ensemble, which handles every separable two-qubit
 target exactly. Whatever it returns is a valid decomposition, so its bound is
 certified even when the search is far from optimal.
 """
@@ -39,7 +39,7 @@ from .errors import (
     InvalidDecompositionError,
     RangeError,
 )
-from .states import BipartiteState, bell_projector, validate
+from .states import BipartiteState, _bell_vector, _noisy_bell, isotropic, validate
 
 __all__ = [
     "Decomposition",
@@ -161,8 +161,7 @@ def bell_fidelity(state: BipartiteState) -> float:
     """Overlap of a two-qubit state with the maximally entangled state."""
     if (state.d_a, state.d_b) != (2, 2):
         raise DimensionMismatchError("Bell fidelity needs a two-qubit state")
-    v = np.zeros(4, dtype=np.complex128)
-    v[0] = v[3] = 1.0 / np.sqrt(2.0)
+    v = _bell_vector()
     return float(np.real(v.conj() @ state.rho @ v))
 
 
@@ -213,16 +212,12 @@ def _twirl_noise(state: BipartiteState) -> float:
     return 4.0 * (1.0 - bell_fidelity(state)) / 3.0
 
 
-def _isotropic_matrix(delta: float) -> np.ndarray:
-    return (1.0 - delta) * bell_projector() + delta * np.eye(4, dtype=np.complex128) / 4.0
-
-
 def _isotropic_noise(state: BipartiteState) -> float | None:
     """Noise delta of the noisy Bell state a two-qubit state equals entrywise within 1e-9, else None."""
     if (state.d_a, state.d_b) != (2, 2):
         return None
     delta = _twirl_noise(state)
-    return delta if np.max(np.abs(state.rho - _isotropic_matrix(delta))) < 1e-9 else None
+    return delta if np.max(np.abs(state.rho - _noisy_bell(delta).rho)) < 1e-9 else None
 
 
 def twirl_exact(state: BipartiteState) -> BipartiteState:
@@ -233,7 +228,7 @@ def twirl_exact(state: BipartiteState) -> BipartiteState:
     with F < 1/4 give delta > 1; the output matrix is assembled directly
     since it remains a valid state for delta up to 4/3.
     """
-    return BipartiteState(2, 2, _isotropic_matrix(_twirl_noise(state)))
+    return _noisy_bell(_twirl_noise(state))
 
 
 def twirl_clifford_average(state: BipartiteState) -> BipartiteState:
@@ -251,59 +246,15 @@ def twirl_clifford_average(state: BipartiteState) -> BipartiteState:
     return BipartiteState(2, 2, linalg.hermitian_part(acc / 24.0))
 
 
-def _clifford_orbit_products(source_ket: np.ndarray) -> list:
-    """Product states (C|v><v|C^dag) (x) conj(...) for all 24 Cliffords."""
-    out = []
-    for c in single_qubit_cliffords():
-        a = c @ source_ket
-        proj = np.outer(a, a.conj())
-        out.append(BipartiteState(2, 2, np.kron(proj, proj.conj())))
-    return out
-
-
-def _basis_products() -> list:
-    out = []
-    for i in range(2):
-        for j in range(2):
-            rho = np.zeros((4, 4), dtype=np.complex128)
-            rho[i * 2 + j, i * 2 + j] = 1.0
-            out.append(BipartiteState(2, 2, rho))
-    return out
-
-
-def _iso_product_decomposition(delta: float, target: BipartiteState) -> Decomposition:
-    """Explicit product decomposition of the noisy Bell state, 2/3 <= delta <= 4/3."""
-    comps = []
-    weights = []
-    if delta <= 1.0:
-        alpha = 3.0 * (1.0 - delta)
-        orbit_ket = np.array([1.0, 0.0], dtype=np.complex128)
-    else:
-        alpha = 3.0 * (delta - 1.0)
-        orbit_ket = np.array([0.0, 1.0], dtype=np.complex128)
-    if alpha > _WEIGHT_FLOOR:
-        comps.extend(_clifford_orbit_products(orbit_ket))
-        weights.extend([alpha / 24.0] * 24)
-    if 1.0 - alpha > _WEIGHT_FLOOR:
-        comps.extend(_basis_products())
-        weights.extend([(1.0 - alpha) / 4.0] * 4)
-    w = np.array(weights)
-    return Decomposition(target=target, weights=w / w.sum(), components=tuple(comps))
-
-
 def separable_iso_decomposition(epsilon: float) -> Decomposition:
     """Explicit product decomposition of the noisy Bell state at eps >= 2/3.
 
-    The noise-2/3 member is exactly the average of the 24 Clifford rotations
-    of |00><00|; heavier noise mixes that average with the four
-    computational-basis product states at weight alpha = 3 (1 - eps) on the
-    Clifford part. Every component is a pure product state, so this
-    certifies an upper bound of zero.
+    This is the closed-form product ensemble of isotropic(eps): at most four
+    pure product states, so it certifies an upper bound of zero.
     """
     if not (2.0 / 3.0 - 1e-12 <= epsilon <= 1.0):
         raise RangeError(f"explicit product decomposition needs eps in [2/3, 1], got {epsilon!r}")
-    target = BipartiteState(2, 2, _isotropic_matrix(epsilon))
-    return _iso_product_decomposition(epsilon, target)
+    return _product_ensemble_candidate(isotropic(epsilon))
 
 
 def lambda_bounds(epsilon: float) -> IsotropicBounds:
@@ -338,14 +289,6 @@ def ppt_check(state: BipartiteState) -> PptReport:
 
 def _trivial_decomposition(target: BipartiteState) -> Decomposition:
     return Decomposition(target=target, weights=np.array([1.0]), components=(target,))
-
-
-def _clifford_candidate(target: BipartiteState) -> Decomposition | None:
-    """Product decomposition when the target is (numerically) a separable noisy Bell state."""
-    delta = _isotropic_noise(target)
-    if delta is None or delta < 2.0 / 3.0 - 1e-12:
-        return None
-    return _iso_product_decomposition(min(delta, 4.0 / 3.0), target)
 
 
 _SPIN_FLIP = np.kron(
@@ -564,10 +507,9 @@ def decomposition_search(
 ) -> Decomposition:
     """Heuristic search for a decomposition with small worst-component correlation.
 
-    Structured candidates are tried first: the trivial one-component
-    decomposition always; the explicit Clifford product construction when the
-    target is a separable noisy Bell state; and the closed-form product
-    ensemble for two-qubit targets whose spin-flip spectrum permits one.
+    Two structured candidates are tried first: the trivial one-component
+    decomposition, and the closed-form product ensemble for two-qubit
+    targets whose spin-flip spectrum permits one (every separable one).
     Random starts of a local derivative-free descent (block perturbations
     with adaptive step, accepted only on improvement, on a soft-max of the
     component correlations whose temperature anneals toward the true worst
@@ -582,9 +524,8 @@ def decomposition_search(
         raise RangeError("restarts and iters must be nonnegative")
     best = _trivial_decomposition(target)
     best_value = mu_ent_upper(best, rank_tol=rank_tol)
-    for candidate in (_clifford_candidate(target), _product_ensemble_candidate(target)):
-        if candidate is None:
-            continue
+    candidate = _product_ensemble_candidate(target)
+    if candidate is not None:
         value = mu_ent_upper(candidate, rank_tol=rank_tol)
         if value < best_value:
             best, best_value = candidate, value

@@ -190,19 +190,33 @@ def validate(
     )
 
 
-def bell_projector() -> np.ndarray:
-    """Projector onto (|00> + |11>)/sqrt(2)."""
+def _bell_vector() -> np.ndarray:
     v = np.zeros(4, dtype=np.complex128)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
+    return v
+
+
+def bell_projector() -> np.ndarray:
+    """Projector onto (|00> + |11>)/sqrt(2)."""
+    v = _bell_vector()
     return np.outer(v, v.conj())
+
+
+def _noisy_bell(delta: float) -> BipartiteState:
+    """(1 - delta) |psi><psi| + delta I/4 without a range check.
+
+    The matrix stays a valid state for delta up to 4/3, where the Bell twirl
+    of a state with Bell fidelity 0 lands.
+    """
+    rho = (1.0 - delta) * bell_projector() + delta * np.eye(4, dtype=np.complex128) / 4.0
+    return BipartiteState(2, 2, rho)
 
 
 def isotropic(epsilon: float) -> BipartiteState:
     """Two-qubit mixture (1 - eps) |psi><psi| + eps I/4 of a Bell state with noise."""
     if not 0.0 <= epsilon <= 1.0:
         raise RangeError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    rho = (1.0 - epsilon) * bell_projector() + epsilon * np.eye(4, dtype=np.complex128) / 4.0
-    return BipartiteState(2, 2, rho)
+    return _noisy_bell(epsilon)
 
 
 def classical_bsc(epsilon: float) -> ClassicalJoint:
@@ -297,18 +311,15 @@ def random_channel(
 
 def apply_local(state: BipartiteState, channel: LocalChannel) -> BipartiteState:
     """Push a state through a channel on one side; output is symmetrized."""
+    d_in = state.d_a if channel.side == "A" else state.d_b
+    if channel.d_in != d_in:
+        raise DimensionMismatchError(
+            f"channel expects d_in = {channel.d_in}, state has d_{channel.side.lower()} = {d_in}"
+        )
     if channel.side == "A":
-        if channel.d_in != state.d_a:
-            raise DimensionMismatchError(
-                f"channel expects d_in = {channel.d_in}, state has d_a = {state.d_a}"
-            )
         ops = [np.kron(k, np.eye(state.d_b)) for k in channel.kraus]
         d_a, d_b = channel.d_out, state.d_b
     else:
-        if channel.d_in != state.d_b:
-            raise DimensionMismatchError(
-                f"channel expects d_in = {channel.d_in}, state has d_b = {state.d_b}"
-            )
         ops = [np.kron(np.eye(state.d_a), k) for k in channel.kraus]
         d_a, d_b = state.d_a, channel.d_out
     out = sum(op @ state.rho @ op.conj().T for op in ops)

@@ -100,6 +100,15 @@ def test_ment_detects_separable_family_member(tmp_path, capsys):
     assert abs(res["isotropic"]["epsilon"] - 0.7) < 1e-9
 
 
+def test_ment_certifies_the_bell_fidelity_zero_member(tmp_path, capsys):
+    """(I - |Phi+><Phi+|)/3 is the separable noisy Bell state at noise 4/3."""
+    path = str(tmp_path / "anti.json")
+    write_state_file(path, mc.BipartiteState(2, 2, (np.eye(4) - mc.bell_projector()) / 3.0))
+    code, rep = report(capsys, "ment", path, "--restarts", "0")
+    assert code == 0
+    assert rep["results"]["upper_bound"] <= 1e-8
+
+
 def test_ment_on_bell_state(tmp_path, capsys):
     path = str(tmp_path / "bell.json")
     report(capsys, "gen", "isotropic", "0.0", "-o", path)

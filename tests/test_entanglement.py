@@ -26,6 +26,20 @@ def product_mixture(seed, terms=4):
     return mc.BipartiteState(2, 2, (rho + rho.conj().T) / 2.0)
 
 
+def noisy_bell(delta):
+    """(1 - delta) |Phi+><Phi+| + delta I/4 for delta in [0, 4/3], through public API.
+
+    Past delta = 1 the family leaves isotropic's range; there it is the Bell
+    twirl of a mixture of I/4 and (I - |Phi+><Phi+|)/3 with Bell fidelity
+    1 - 3 delta / 4.
+    """
+    if delta <= 1.0:
+        return mc.isotropic(delta)
+    t = 3.0 * (delta - 1.0)
+    rho = (1.0 - t) * np.eye(4) / 4.0 + t * (np.eye(4) - mc.bell_projector()) / 3.0
+    return mc.twirl_exact(mc.BipartiteState(2, 2, rho))
+
+
 def test_trivial_decomposition_bound_is_mu():
     st = mc.isotropic(0.4)
     dec = mc.Decomposition(target=st, weights=np.array([1.0]), components=(st,))
@@ -152,8 +166,9 @@ def test_ppt_accepts_separables():
 
 def test_search_resolves_separable_mixtures_without_restarts():
     """The structured candidates alone should nail separable two-qubit states."""
-    for seed in range(6):
-        st = product_mixture(300 + seed)
+    targets = [product_mixture(300 + seed) for seed in range(6)]
+    targets += [noisy_bell(delta) for delta in (2.0 / 3.0, 0.9, 1.05, 4.0 / 3.0)]
+    for seed, st in enumerate(targets):
         dec = mc.decomposition_search(st, k=8, restarts=0, seed=seed)
         assert mc.mu_ent_upper(dec) < 1e-8
         assert dec.residual() < 1e-8

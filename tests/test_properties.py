@@ -1,4 +1,5 @@
-"""Property tests of mu and the hermitian ceiling over every dims pair 2x2-4x4.
+"""Property tests of mu and the hermitian ceiling over every dims pair 2x2-4x4,
+and of the certified two-qubit bracket.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import maxcorr as mc
 from test_correlation import haar_unitary, hermitian_ceiling
+from test_entanglement import noisy_bell
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -22,6 +24,13 @@ def mixed_states(draw):
     d_a, d_b = draw(dims), draw(dims)
     rank = draw(st.integers(1, d_a * d_b))
     return mc.random_density(d_a, d_b, rank=rank, seed=draw(seeds))
+
+
+@st.composite
+def two_qubit_states(draw):
+    if draw(st.booleans()):
+        return noisy_bell(draw(st.floats(0.0, 4.0 / 3.0)))
+    return mc.random_density(2, 2, rank=draw(st.integers(1, 4)), seed=draw(seeds))
 
 
 @PROPERTY
@@ -50,3 +59,11 @@ def test_ceiling_is_one_on_pure_entangled_states(d_a, d_b, seed):
     witness = mc.extract_witness(state)
     assert witness.hermitian
     assert abs(witness.objective - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(two_qubit_states())
+@example(noisy_bell(4.0 / 3.0))
+def test_fidelity_lower_bound_stays_below_search_certificate(state):
+    dec = mc.decomposition_search(state, restarts=0)
+    assert mc.fidelity_mu_lower_bound(state) <= mc.mu_ent_upper(dec) + 1e-9
