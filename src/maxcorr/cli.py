@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -305,12 +306,7 @@ def cmd_ment(args) -> int:
             violation = True
         delta = _isotropic_noise(state)
         if delta is not None:
-            results["isotropic"] = {"epsilon": delta}
-            if delta <= 1.0:
-                iso = lambda_bounds(delta)
-                results["isotropic"]["lower"] = iso.lower
-                results["isotropic"]["upper"] = iso.upper
-                results["isotropic"]["separable"] = iso.separable
+            results["isotropic"] = asdict(lambda_bounds(delta)) if delta <= 1.0 else {"epsilon": delta}
     else:
         results["lower_bound"] = 0.0
 
@@ -320,14 +316,7 @@ def cmd_ment(args) -> int:
 
 def cmd_iso_bounds(args) -> int:
     started = time.monotonic()
-    bounds = lambda_bounds(args.epsilon)
-    results = {
-        "epsilon": bounds.epsilon,
-        "lower": bounds.lower,
-        "upper": bounds.upper,
-        "separable": bounds.separable,
-    }
-    _emit("iso-bounds", {"epsilon": args.epsilon}, None, results, [], started)
+    _emit("iso-bounds", {"epsilon": args.epsilon}, None, asdict(lambda_bounds(args.epsilon)), [], started)
     return 0
 
 
@@ -569,6 +558,13 @@ def cmd_suite(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxcorr",
@@ -584,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="include the maximizing observable pair")
     p.add_argument("--oracle", action="store_true", help="cross-check with the variational oracle")
     p.add_argument("--restarts", type=int, default=RESTARTS, help="oracle restarts")
-    p.add_argument("--seed", type=int, default=0, help="oracle seed")
+    p.add_argument("--seed", type=_seed, default=0, help="oracle seed")
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("mu-classical", help="maximal correlation of a joint table")
@@ -596,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=COMPONENTS, help="components in the search")
     p.add_argument("--restarts", type=int, default=RESTARTS, help="search restarts")
     p.add_argument("--iters", type=int, default=SEARCH_ITERS, help="search iterations per restart")
-    p.add_argument("--seed", type=int, default=0, help="search seed")
+    p.add_argument("--seed", type=_seed, default=0, help="search seed")
     p.set_defaults(func=cmd_ment)
 
     p = sub.add_parser("iso-bounds", help="certified bracket for the noisy Bell family")
@@ -628,14 +624,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--da", type=int, default=2, help="dimension of side A")
     g.add_argument("--db", type=int, default=2, help="dimension of side B")
     g.add_argument("--rank", type=int, default=None, help="rank (default full)")
-    g.add_argument("--seed", type=int, default=0, help="seed")
+    g.add_argument("--seed", type=_seed, default=0, help="seed")
     g.add_argument("-o", "--output", required=True, help="output path (JSON)")
     g.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("suite", help="run a randomized property suite")
     p.add_argument("name", help="one of: " + ", ".join(SUITES))
     p.add_argument("--trials", type=int, default=TRIALS, help="trial count")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--seed", type=_seed, default=0, help="base seed")
     p.add_argument("--dims", default="2x2", help="dimensions, e.g. 2x3")
     p.set_defaults(func=cmd_suite)
 

@@ -9,8 +9,9 @@ operator Schmidt coefficient of the marginal-normalized form
 
 whose leading coefficient is always 1; for a classical joint table it is the
 second singular value of the correspondingly normalized table. A variational
-alternating-ascent oracle solves the defining optimization directly and is
-used as an independent cross-check of the spectral route.
+alternating-ascent oracle solves the defining optimization directly, each
+half-step one of two folded linear maps and no SVD anywhere in it, and so
+cross-checks the spectral route independently.
 
 Each entry point diagonalizes each marginal exactly once (linalg.hermitian_eig)
 and derives ranks, (pseudo-inverse) square roots and the hermitian witness from it.
@@ -18,6 +19,7 @@ and derives ranks, (pseudo-inverse) square roots and the hermitian witness from 
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,8 +96,10 @@ class _Spectra:
 
     def __init__(self, state: BipartiteState, rho_a, eig_a, rho_b, eig_b, rank_tol: float):
         self.rho_a, self.eig_a, self.rho_b, self.eig_b = rho_a, eig_a, rho_b, eig_b
-        self.inv_a = linalg.pinv_sqrt_from_eig(*eig_a, rank_tol)
-        self.inv_b = linalg.pinv_sqrt_from_eig(*eig_b, rank_tol)
+        weights = [linalg.pinv_sqrt_weights(w, rank_tol) for w, _ in (eig_a, eig_b)]
+        self.ranks = tuple(int(np.count_nonzero(f)) for f in weights)
+        self.inv_a = linalg.from_eig(weights[0], eig_a[1])
+        self.inv_b = linalg.from_eig(weights[1], eig_b[1])
         tilde = linalg.normalized_form(state.rho, self.inv_a, self.inv_b, state.d_a, state.d_b)
         self.realigned = linalg.realign(tilde, state.d_a, state.d_b)
 
@@ -126,7 +130,6 @@ def mu_schmidt(
     eig_a, eig_b = linalg.hermitian_eig(rho_a), linalg.hermitian_eig(rho_b)
     linalg.check_psd(eig_a[0])
     linalg.check_psd(eig_b[0])
-    ranks = tuple(int(np.count_nonzero(w > linalg.support_cut(w, rank_tol))) for w, _ in (eig_a, eig_b))
     spectra = _Spectra(state, rho_a, eig_a, rho_b, eig_b, rank_tol)
 
     schmidt = linalg.singular_values(spectra.realigned)
@@ -144,7 +147,7 @@ def mu_schmidt(
         mu=mu,
         schmidt=schmidt,
         lambda1_deviation=dev,
-        marginal_ranks=ranks,
+        marginal_ranks=spectra.ranks,
         witness=pair,
         warnings=tuple(warnings),
     )
@@ -191,23 +194,46 @@ def mu_classical(joint: ClassicalJoint, rank_tol: float = RANK_TOL) -> Correlati
     )
 
 
-def _center_normalize(op: np.ndarray, marginal: np.ndarray, eye: np.ndarray):
+def _center_normalize(op: np.ndarray, marginal: np.ndarray):
     """Project out the identity component and scale to unit weighted norm."""
-    centered = op - (marginal @ op).trace() * eye
+    centered = op - (marginal @ op).trace() * linalg.eye(marginal.shape[0])
     norm = float(np.sqrt(max(np.real((marginal @ centered @ centered.conj().T).trace()), 0.0)))
     if norm < _ZERO_DIRECTION:
         return None, 0.0
     return centered / norm, norm
 
 
-def _contract_b(rho4: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """tr_B((I (x) Y^dag) rho) as a matrix on A."""
-    return np.einsum("ikmj,kj->im", rho4, y.conj())
+def _folded_maps(state: BipartiteState, rho_a, rho_b, rank_tol: float) -> tuple:
+    """The oracle's half-steps as matrices on row-major vec, and the weights that normalize them.
+
+    to_x @ vec(Y) is vec of rho_A^+ tr_B((I (x) Y^dag) rho)^dag less its
+    tr(rho_A .) I component, and to_y @ vec(X) is vec of rho_B^+ tr_A((X (x) I) rho)
+    centered likewise; weight_a = sqrt(rho_A) (x) I, so ||weight_a @ vec(X)||^2 =
+    tr(rho_A X X^dag). One hermitian_eig per marginal gives its pseudo-inverse
+    and its square root. Returns (to_x, weight_a, to_y, weight_b).
+    """
+    rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
+    out = []
+    for rho_m, spec, operand in ((rho_a, "pm,qkmj->pqkj", rho4.conj()), (rho_b, "pj,kjim->pmik", rho4)):
+        d = rho_m.shape[0]
+        w, v = linalg.hermitian_eig(rho_m)
+        keep = w > linalg.support_cut(w, rank_tol)
+        pinv = linalg.from_eig(np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0), v)
+        step = np.einsum(spec, pinv, operand).reshape(d * d, -1)
+        step[:: d + 1] -= rho_m.T.reshape(-1) @ step  # tr(rho Z) = vec(rho^T) . vec(Z), off the rows where vec(I) is 1
+        weight = linalg.sqrt_from_eig(w, v)[:, None, :, None] * linalg.eye(d)[None, :, None, :]
+        out += [step, weight.reshape(d * d, d * d)]
+    return tuple(out)
 
 
-def _contract_a(rho4: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """tr_A((X (x) I) rho) as a matrix on B."""
-    return np.einsum("ik,kjim->jm", x, rho4)
+def _half_step(to: np.ndarray, weight: np.ndarray, v: np.ndarray):
+    """One ascent half-step on vec: the folded map, scaled to unit weighted norm; (None, 0.0) if it vanishes."""
+    u = to @ v
+    z = weight @ u
+    norm = math.sqrt(np.vdot(z, z).real)
+    if norm < _ZERO_DIRECTION:
+        return None, 0.0
+    return u / norm, norm
 
 
 def _pair_stats(state: BipartiteState, rho_a, rho_b, x, y, hermitian: bool, mult: int) -> ObservablePair:
@@ -216,17 +242,7 @@ def _pair_stats(state: BipartiteState, rho_a, rho_b, x, y, hermitian: bool, mult
     m2_x = float(np.real((rho_a @ x @ x.conj().T).trace()))
     m2_y = float(np.real((rho_b @ y @ y.conj().T).trace()))
     obj = float(abs((state.rho @ np.kron(x, y.conj().T)).trace()))
-    return ObservablePair(
-        x=x,
-        y=y,
-        mean_x=mean_x,
-        mean_y=mean_y,
-        second_moment_x=m2_x,
-        second_moment_y=m2_y,
-        objective=obj,
-        hermitian=hermitian,
-        second_multiplicity=mult,
-    )
+    return ObservablePair(x, y, mean_x, mean_y, m2_x, m2_y, obj, hermitian, mult)
 
 
 def mu_variational(
@@ -243,62 +259,43 @@ def mu_variational(
     centered, unit-normalized direction (in the rho_A-weighted inner product
     <X1, X2> = tr(rho_A X2 X1^dag)) of the partial contraction
     tr_B((I (x) Y^dag) rho) pulled back through the rho_A pseudo-inverse, and
-    symmetrically for Y. The objective is monotone along the iteration, so
+    symmetrically for Y. All of that is linear, so a half-step is one product
+    with a folded matrix (_folded_maps) and the weighted norm
+    ||(sqrt(rho_A) (x) I) vec(X)||: still the defining ascent, with nothing
+    from the Schmidt route. The objective is monotone along the iteration, so
     the best value over restarts is reported together with the achieving
     feasible pair; when no restart meets the tolerance the best feasible
     value found is still returned, flagged as unconverged.
     """
     if restarts < 1 or iters < 1:
         raise RangeError("restarts and iters must be positive")
-    rho_a = state.marginal("A")
-    rho_b = state.marginal("B")
-    pinv_a = linalg.pinv_from_eig(*linalg.hermitian_eig(rho_a), rank_tol)
-    pinv_b = linalg.pinv_from_eig(*linalg.hermitian_eig(rho_b), rank_tol)
-    rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
+    rho_a, rho_b = state.marginal("A"), state.marginal("B")
+    to_x, weight_a, to_y, weight_b = _folded_maps(state, rho_a, rho_b, rank_tol)
     rng = np.random.default_rng(seed)
-    eye_a = np.eye(state.d_a)
-    eye_b = np.eye(state.d_b)
-
-    best_value = -1.0
-    best_pair = None
-    best_converged = False
-    best_iters = 0
+    best_value, best_pair, best_converged, best_iters = -1.0, None, False, 0
 
     for _ in range(restarts):
-        y = rng.standard_normal((state.d_b, state.d_b)) + 1j * rng.standard_normal(
-            (state.d_b, state.d_b)
-        )
-        y, _n = _center_normalize(y, rho_b, eye_b)
+        y = rng.standard_normal((state.d_b, state.d_b)) + 1j * rng.standard_normal((state.d_b, state.d_b))
+        y, _n = _center_normalize(y, rho_b)
         if y is None:
             continue
-        x = eye_a * 0.0
-        value = 0.0
-        prev = -1.0
-        converged = False
-        used = 0
+        y, x = y.reshape(-1), np.zeros(state.d_a * state.d_a)
+        value, prev, converged, used = 0.0, -1.0, False, 0
         for it in range(iters):
             used = it + 1
-            c = _contract_b(rho4, y)
-            x_dir, _ = _center_normalize(pinv_a @ c.conj().T, rho_a, eye_a)
-            if x_dir is None:
-                value = 0.0
-                converged = True
-                break
-            x = x_dir
-            e = _contract_a(rho4, x)
-            y_dir, value = _center_normalize(pinv_b @ e, rho_b, eye_b)
+            x_dir, _ = _half_step(to_x, weight_a, y)
+            y_dir, value = (None, 0.0) if x_dir is None else _half_step(to_y, weight_b, x_dir)
             if y_dir is None:
-                value = 0.0
                 converged = True
                 break
-            y = y_dir
+            x, y = x_dir, y_dir
             if abs(value - prev) < tol:
                 converged = True
                 break
             prev = value
         if value > best_value:
             best_value = value
-            best_pair = (x, y)
+            best_pair = (x.reshape(state.d_a, state.d_a), y.reshape(state.d_b, state.d_b))
             best_converged = converged
             best_iters = used
 
@@ -323,10 +320,9 @@ def mu_variational(
 
 def _fallback_observable(marginal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     d = marginal.shape[0]
-    eye = np.eye(d)
     for _ in range(16):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        op, _ = _center_normalize(g, marginal, eye)
+        op, _ = _center_normalize(g, marginal)
         if op is not None:
             return op
     raise RangeError("marginal admits no zero-mean unit-variance observable")
@@ -382,8 +378,8 @@ def _witness(state: BipartiteState, sp: _Spectra, rank_tol: float) -> Observable
 
     m2 = u[:, 0].reshape(state.d_a, state.d_a)
     n2 = vh[0, :].reshape(state.d_b, state.d_b)
-    x, _ = _center_normalize(sp.inv_a @ m2.conj().T, sp.rho_a, np.eye(state.d_a))
-    y, _ = _center_normalize(sp.inv_b @ n2, sp.rho_b, np.eye(state.d_b))
+    x, _ = _center_normalize(sp.inv_a @ m2.conj().T, sp.rho_a)
+    y, _ = _center_normalize(sp.inv_b @ n2, sp.rho_b)
 
     # Rotate Y's phase so the raw objective is real positive.
     raw = (state.rho @ np.kron(x, y.conj().T)).trace()
@@ -395,8 +391,8 @@ def _witness(state: BipartiteState, sp: _Spectra, rank_tol: float) -> Observable
     if not pair.hermitian:
         ceiling, hx, hy = _hermitian_ceiling(state, sp, rank_tol)
         if ceiling >= pair.objective - 1e-8:
-            hx, _ = _center_normalize(hx, sp.rho_a, np.eye(state.d_a))
-            hy, _ = _center_normalize(hy, sp.rho_b, np.eye(state.d_b))
+            hx, _ = _center_normalize(hx, sp.rho_a)
+            hy, _ = _center_normalize(hy, sp.rho_b)
             if hx is not None and hy is not None:
                 return _pair_stats(state, sp.rho_a, sp.rho_b, hx, hy, True, mult)
     return pair

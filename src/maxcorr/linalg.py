@@ -5,13 +5,15 @@ operator on dimensions (d_a, d_b) is a (d_a*d_b) x (d_a*d_b) matrix whose
 composite index packs the A index first: row i*d_b + j corresponds to the
 basis vector |i>_A |j>_B. The bipartite helpers also take a (k, n, n) stack.
 
-pinv_sqrt_from_eig is the one pseudo-inverse square root, for hermitian_eig's
-checked pair and pinv_sqrt_stack's batched one alike. It sums in numpy's ascending
-eigenvalue order, so the search's batched eigh feeds it without reordering, and
-mu_schmidt and mu_stack give a state the same mu to the last bit.
+from_eig(pinv_sqrt_weights(w), v) is the one pseudo-inverse square root, for
+hermitian_eig's checked pair and pinv_sqrt_stack's batched one alike. from_eig sums
+in numpy's ascending eigenvalue order, so the search's batched eigh feeds it without
+reordering, and mu_schmidt and mu_stack give a state the same mu to the last bit.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,14 +26,15 @@ from .errors import (
 )
 
 __all__ = [
+    "eye",
     "hermitian_part",
     "hermitian_eig",
     "singular_values",
     "check_psd",
     "support_cut",
     "sqrt_from_eig",
-    "pinv_sqrt_from_eig",
-    "pinv_from_eig",
+    "pinv_sqrt_weights",
+    "from_eig",
     "psd_sqrt",
     "psd_pinv_sqrt",
     "partial_trace",
@@ -56,6 +59,14 @@ def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
 
 
+@lru_cache(maxsize=16)
+def eye(d: int) -> np.ndarray:
+    """The d x d identity, built once per d and read-only so that callers share it."""
+    out = np.eye(d)
+    out.flags.writeable = False
+    return out
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dag) / 2 of one matrix or of each matrix in a stack."""
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
@@ -71,7 +82,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if dev > tol:
         raise NotHermitianError(f"matrix deviates from its adjoint by {dev:.3e}")
     w, v = np.linalg.eigh(hermitian_part(m))
@@ -103,23 +114,20 @@ def sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitian_part((v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T)
 
 
-def pinv_sqrt_from_eig(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Pseudo-inverse square root: 1/sqrt(w) above support_cut, 0 below.
+def pinv_sqrt_weights(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """1/sqrt(w) above support_cut, 0 below: nonzero exactly on the support, so its count is the rank."""
+    return np.where(w > support_cut(w, rank_tol), 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
 
-    (w, v) is hermitian_eig's descending pair, or a stack of them. The terms are
-    summed in ascending eigenvalue order, as numpy's eigh returns them, and the
-    sum is not symmetrized, so the search's hot loop (pinv_sqrt_stack) pays for
-    neither and every caller gets the same bits.
+
+def from_eig(f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i f_i v_i v_i^dag for hermitian_eig's descending eigenvectors v (or a stack of them).
+
+    The terms are summed in ascending eigenvalue order, as numpy's eigh returns
+    them, and the sum is not symmetrized, so the search's hot loop
+    (pinv_sqrt_stack) pays for neither and every caller gets the same bits.
     """
-    inv = np.where(w > support_cut(w, rank_tol), 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
     v = v[..., ::-1]
-    return (v * inv[..., None, ::-1]) @ v.conj().swapaxes(-1, -2)
-
-
-def pinv_from_eig(w: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Pseudo-inverse from an eigendecomposition (w, v), inverting eigenvalues above support_cut."""
-    keep = w > support_cut(w, rank_tol)
-    return (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.conj().T
+    return (v * f[..., None, ::-1]) @ v.conj().swapaxes(-1, -2)
 
 
 def psd_sqrt(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
@@ -132,10 +140,10 @@ def psd_sqrt(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
 def psd_pinv_sqrt(
     m: np.ndarray, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL
 ) -> np.ndarray:
-    """Pseudo-inverse square root of a positive semidefinite matrix (see pinv_sqrt_from_eig)."""
+    """Pseudo-inverse square root of a positive semidefinite matrix (see pinv_sqrt_weights)."""
     w, v = hermitian_eig(m)
     check_psd(w, psd_tol)
-    return pinv_sqrt_from_eig(w, v, rank_tol)
+    return from_eig(pinv_sqrt_weights(w, rank_tol), v)
 
 
 def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
@@ -172,19 +180,19 @@ def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
 def normalized_form(rho: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """(1 (x) inv_b) rho (inv_a (x) 1) for an (n, n) rho or a (k, n, n) stack, Kronecker factors by broadcasting."""
-    left = np.eye(d_a)[:, None, :, None] * inv_b[..., None, :, None, :]
-    right = inv_a[..., :, None, :, None] * np.eye(d_b)[:, None, :]
+    left = eye(d_a)[:, None, :, None] * inv_b[..., None, :, None, :]
+    right = inv_a[..., :, None, :, None] * eye(d_b)[:, None, :]
     return left.reshape(rho.shape) @ rho @ right.reshape(rho.shape)
 
 
 def pinv_sqrt_stack(ms: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Pseudo-inverse square roots of a (k, n, n) stack in one batched eigh.
 
-    As psd_pinv_sqrt per matrix, through the same pinv_sqrt_from_eig, but
-    unchecked: the inputs must be hermitian positive semidefinite by construction.
+    As psd_pinv_sqrt per matrix, through the same pinv_sqrt_weights and from_eig,
+    but unchecked: the inputs must be hermitian positive semidefinite by construction.
     """
     w, v = np.linalg.eigh(hermitian_part(ms))
-    return pinv_sqrt_from_eig(w[..., ::-1], v[..., ::-1], rank_tol)
+    return from_eig(pinv_sqrt_weights(w[..., ::-1], rank_tol), v[..., ::-1])
 
 
 def mu_stack(rhos: np.ndarray, d_a: int, d_b: int, rank_tol: float = RANK_TOL) -> np.ndarray:

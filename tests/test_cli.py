@@ -252,6 +252,26 @@ def test_gen_rejects_oversized_dims(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mu", "{state}", "--oracle", "--seed", "-5"],
+        ["ment", "{state}", "--restarts", "1", "--seed", "-1"],
+        ["suite", "dpi", "--trials", "2", "--seed", "-1"],
+        ["gen", "random", "--da", "2", "--db", "2", "--seed", "-3", "-o", "{out}"],
+    ],
+    ids=["mu", "ment", "suite", "gen"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    state, out = tmp_path / "s.json", tmp_path / "x.json"
+    write_state_file(str(state), mc.isotropic(0.3))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(state=state, out=out) for a in argv])
+    assert exc.value.code == 2
+    assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tolerance_override_is_recorded(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MAXCORR_TOL", "1e-05")
     path = str(tmp_path / "iso.json")

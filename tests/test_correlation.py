@@ -150,6 +150,77 @@ def test_variational_rejects_bad_budgets():
         mc.mu_variational(st, iters=0)
 
 
+ORACLE_DIMS = [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)]
+
+
+@pytest.mark.parametrize("d_a,d_b", ORACLE_DIMS)
+def test_folded_maps_are_contraction_pinv_and_centering(d_a, d_b):
+    """to_x and to_y equal the half-steps written out: contract, pull back, center;
+    the weights give the marginal-weighted norms."""
+    rng = np.random.default_rng(10 * d_a + d_b)
+    for rank in range(1, d_a * d_b + 1):
+        st = mc.random_density(d_a, d_b, rank=rank, seed=rank)
+        rho4 = st.rho.reshape(d_a, d_b, d_a, d_b)
+        rho_a, rho_b = st.marginal("A"), st.marginal("B")
+        to_x, weight_a, to_y, weight_b = correlation._folded_maps(st, rho_a, rho_b, RANK_TOL)
+        assert to_x.shape == (d_a * d_a, d_b * d_b) and to_y.shape == (d_b * d_b, d_a * d_a)
+        pinv_a = np.linalg.pinv(rho_a, rcond=RANK_TOL, hermitian=True)
+        pinv_b = np.linalg.pinv(rho_b, rcond=RANK_TOL, hermitian=True)
+        y = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
+        x = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
+        raw_x = pinv_a @ np.einsum("ikmj,kj->im", rho4, y.conj()).conj().T
+        raw_y = pinv_b @ np.einsum("ik,kjim->jm", x, rho4)
+        want_x = raw_x - np.trace(rho_a @ raw_x) * np.eye(d_a)
+        want_y = raw_y - np.trace(rho_b @ raw_y) * np.eye(d_b)
+        for got, want in ((to_x @ y.reshape(-1), want_x), (to_y @ x.reshape(-1), want_y)):
+            assert np.max(np.abs(got - want.reshape(-1))) < 1e-13 * max(1.0, np.max(np.abs(want)))
+        for weight, rho_m, z in ((weight_a, rho_a, x), (weight_b, rho_b, y)):
+            want = np.trace(rho_m @ z @ z.conj().T).real
+            assert abs(np.linalg.norm(weight @ z.reshape(-1)) ** 2 - want) < 1e-13 * max(1.0, want)
+
+
+# mu_variational(state, restarts=2, seed=i) on the i-th panel state, as
+# recorded when each half-step was a contraction followed by a pull-back and
+# a centering: (family, d_a, d_b, rank or noise, value, iterations, converged).
+# Each state is drawn with seed 100 + i.
+ORACLE_PANEL = [
+    ("random", 2, 2, 1, 1.0000000000000002, 2, True),
+    ("random", 2, 2, 4, 0.7708421591698211, 17, True),
+    ("random", 2, 3, 2, 0.9941144622121187, 181, True),
+    ("random", 2, 3, 6, 0.6659983203526216, 23, True),
+    ("random", 3, 2, 3, 0.8596949676906942, 22, True),
+    ("random", 3, 3, 2, 0.9999999999991832, 32, True),
+    ("random", 3, 3, 9, 0.5821535328477198, 21, True),
+    ("random", 2, 4, 8, 0.5968568892973241, 57, True),
+    ("random", 4, 2, 5, 0.7458622452670871, 24, True),
+    ("random", 3, 4, 12, 0.5250252978967836, 47, True),
+    ("random", 4, 3, 4, 0.807224827144251, 92, True),
+    ("random", 4, 4, 7, 0.6372495531107517, 48, True),
+    ("random", 4, 4, 16, 0.45282444872250927, 35, True),
+    ("isotropic", 2, 2, 0.3, 0.7, 2, True),
+    ("pure", 3, 3, None, 1.0, 2, True),
+    ("product", 2, 3, None, 3.86438613920068e-17, 0, True),
+]
+
+
+def oracle_panel_state(i, family, d_a, d_b, extra):
+    seed = 100 + i
+    if family == "random":
+        return mc.random_density(d_a, d_b, rank=extra, seed=seed)
+    if family == "isotropic":
+        return mc.isotropic(extra)
+    if family == "pure":
+        return mc.random_pure(d_a, d_b, seed=seed)
+    return mc.random_product(d_a, d_b, seed=seed)
+
+
+def test_oracle_keeps_its_recorded_values_and_iterations():
+    for i, (family, d_a, d_b, extra, value, iterations, converged) in enumerate(ORACLE_PANEL):
+        res = mc.mu_variational(oracle_panel_state(i, family, d_a, d_b, extra), restarts=2, seed=i)
+        assert abs(res.value - value) < 1e-14, i
+        assert (res.iterations, res.converged) == (iterations, converged), i
+
+
 def test_normalized_operator_of_product_is_sqrt_product():
     st = mc.random_product(2, 2, seed=2)
     a = st.marginal("A")

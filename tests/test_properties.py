@@ -1,5 +1,5 @@
-"""Property tests of mu and the hermitian ceiling over every dims pair 2x2-4x4,
-and of the certified two-qubit bracket.
+"""Property tests of mu, the hermitian ceiling and the variational oracle over
+every dims pair 2x2-4x4, and of the certified two-qubit bracket.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -48,6 +48,13 @@ def test_mu_and_ceiling_are_local_unitary_invariant(state, seed):
 def test_ceiling_lies_between_zero_and_mu(state):
     ceiling = hermitian_ceiling(state)
     assert 0.0 <= ceiling <= mc.mu_schmidt(state).mu + 1e-12
+
+
+@PROPERTY
+@given(mixed_states())
+def test_oracle_brackets_mu(state):
+    mu = mc.mu_schmidt(state).mu
+    assert mu - 1e-4 <= mc.mu_variational(state, restarts=2).value <= mu + 1e-6
 
 
 @PROPERTY
