@@ -8,20 +8,17 @@ from .correlation import (
     mu_classical,
     mu_schmidt,
     mu_variational,
-    normalized_operator,
 )
 from .entanglement import (
     Decomposition,
     IsotropicBounds,
     PptReport,
-    QuasiConvexityReport,
     bell_fidelity,
     decomposition_search,
     fidelity_mu_lower_bound,
     lambda_bounds,
     mu_ent_upper,
     ppt_check,
-    quasi_convexity_check,
     random_povm_decomposition,
     separable_iso_decomposition,
     single_qubit_cliffords,

@@ -280,7 +280,7 @@ def cmd_ment(args) -> int:
     dec = decomposition_search(
         state, k=args.k, restarts=args.restarts, iters=args.iters, seed=args.seed
     )
-    comp_mus = _component_mus(dec, RANK_TOL, RECONSTRUCTION_TOL)
+    comp_mus = _component_mus(dec)
     upper = float(np.max(comp_mus))
     results = {
         "mu": plain.mu,

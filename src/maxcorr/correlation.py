@@ -26,12 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .defaults import (
-    LAMBDA1_WARN_TOL,
-    ORACLE_ITERS,
-    RANK_TOL,
-    RESTARTS,
-)
+from .defaults import LAMBDA1_WARN_TOL, ORACLE_ITERS, RESTARTS
 from .errors import DegenerateMarginalError, RangeError
 from .states import BipartiteState, ClassicalJoint
 
@@ -39,7 +34,6 @@ __all__ = [
     "ObservablePair",
     "CorrelationReport",
     "VariationalResult",
-    "normalized_operator",
     "mu_schmidt",
     "mu_classical",
     "mu_variational",
@@ -48,6 +42,8 @@ __all__ = [
 
 _DEGENERACY_TOL = 1e-10
 _ZERO_DIRECTION = 1e-14
+_CONVERGENCE_TOL = 1e-12
+"""The oracle stops once one full ascent step moves the objective by less than this."""
 
 
 @dataclass(frozen=True)
@@ -94,9 +90,9 @@ class VariationalResult:
 class _Spectra:
     """A state's marginals with their checked eigendecompositions, and what derives from them."""
 
-    def __init__(self, state: BipartiteState, rho_a, eig_a, rho_b, eig_b, rank_tol: float):
+    def __init__(self, state: BipartiteState, rho_a, eig_a, rho_b, eig_b):
         self.rho_a, self.eig_a, self.rho_b, self.eig_b = rho_a, eig_a, rho_b, eig_b
-        weights = [linalg.pinv_sqrt_weights(w, rank_tol) for w, _ in (eig_a, eig_b)]
+        weights = [linalg.pinv_sqrt_weights(w) for w, _ in (eig_a, eig_b)]
         self.ranks = tuple(int(np.count_nonzero(f)) for f in weights)
         self.inv_a = linalg.from_eig(weights[0], eig_a[1])
         self.inv_b = linalg.from_eig(weights[1], eig_b[1])
@@ -104,18 +100,7 @@ class _Spectra:
         self.realigned = linalg.realign(tilde, state.d_a, state.d_b)
 
 
-def normalized_operator(state: BipartiteState, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Marginal-normalized form of a state; product states map to sqrt(a) (x) sqrt(b)."""
-    inv_a = linalg.psd_pinv_sqrt(state.marginal("A"), rank_tol=rank_tol)
-    inv_b = linalg.psd_pinv_sqrt(state.marginal("B"), rank_tol=rank_tol)
-    return linalg.normalized_form(state.rho, inv_a, inv_b, state.d_a, state.d_b)
-
-
-def mu_schmidt(
-    state: BipartiteState,
-    rank_tol: float = RANK_TOL,
-    witness: bool = False,
-) -> CorrelationReport:
+def mu_schmidt(state: BipartiteState, witness: bool = False) -> CorrelationReport:
     """Maximal correlation via the operator Schmidt spectrum.
 
     Realigns the marginal-normalized form of the state and reads the second
@@ -130,7 +115,7 @@ def mu_schmidt(
     eig_a, eig_b = linalg.hermitian_eig(rho_a), linalg.hermitian_eig(rho_b)
     linalg.check_psd(eig_a[0])
     linalg.check_psd(eig_b[0])
-    spectra = _Spectra(state, rho_a, eig_a, rho_b, eig_b, rank_tol)
+    spectra = _Spectra(state, rho_a, eig_a, rho_b, eig_b)
 
     schmidt = linalg.singular_values(spectra.realigned)
     mu = float(schmidt[1]) if schmidt.size > 1 else 0.0
@@ -142,7 +127,7 @@ def mu_schmidt(
             f"leading Schmidt coefficient off by {dev:.3e}; "
             "the input may not be a valid normalized state"
         )
-    pair = _witness(state, spectra, rank_tol) if witness else None
+    pair = _witness(state, spectra) if witness else None
     return CorrelationReport(
         mu=mu,
         schmidt=schmidt,
@@ -153,7 +138,7 @@ def mu_schmidt(
     )
 
 
-def mu_classical(joint: ClassicalJoint, rank_tol: float = RANK_TOL) -> CorrelationReport:
+def mu_classical(joint: ClassicalJoint) -> CorrelationReport:
     """Maximal correlation of a joint probability table.
 
     Restricts to the support (drops zero-probability rows and columns),
@@ -203,7 +188,7 @@ def _center_normalize(op: np.ndarray, marginal: np.ndarray):
     return centered / norm, norm
 
 
-def _folded_maps(state: BipartiteState, rho_a, rho_b, rank_tol: float) -> tuple:
+def _folded_maps(state: BipartiteState, rho_a, rho_b) -> tuple:
     """The oracle's half-steps as matrices on row-major vec, and the weights that normalize them.
 
     to_x @ vec(Y) is vec of rho_A^+ tr_B((I (x) Y^dag) rho)^dag less its
@@ -217,7 +202,7 @@ def _folded_maps(state: BipartiteState, rho_a, rho_b, rank_tol: float) -> tuple:
     for rho_m, spec, operand in ((rho_a, "pm,qkmj->pqkj", rho4.conj()), (rho_b, "pj,kjim->pmik", rho4)):
         d = rho_m.shape[0]
         w, v = linalg.hermitian_eig(rho_m)
-        keep = w > linalg.support_cut(w, rank_tol)
+        keep = w > linalg.support_cut(w)
         pinv = linalg.from_eig(np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0), v)
         step = np.einsum(spec, pinv, operand).reshape(d * d, -1)
         step[:: d + 1] -= rho_m.T.reshape(-1) @ step  # tr(rho Z) = vec(rho^T) . vec(Z), off the rows where vec(I) is 1
@@ -250,8 +235,6 @@ def mu_variational(
     restarts: int = RESTARTS,
     iters: int = ORACLE_ITERS,
     seed: int = 0,
-    tol: float = 1e-12,
-    rank_tol: float = RANK_TOL,
 ) -> VariationalResult:
     """Maximal correlation by direct alternating ascent on the defining problem.
 
@@ -264,13 +247,13 @@ def mu_variational(
     ||(sqrt(rho_A) (x) I) vec(X)||: still the defining ascent, with nothing
     from the Schmidt route. The objective is monotone along the iteration, so
     the best value over restarts is reported together with the achieving
-    feasible pair; when no restart meets the tolerance the best feasible
+    feasible pair; when no restart meets _CONVERGENCE_TOL the best feasible
     value found is still returned, flagged as unconverged.
     """
     if restarts < 1 or iters < 1:
         raise RangeError("restarts and iters must be positive")
     rho_a, rho_b = state.marginal("A"), state.marginal("B")
-    to_x, weight_a, to_y, weight_b = _folded_maps(state, rho_a, rho_b, rank_tol)
+    to_x, weight_a, to_y, weight_b = _folded_maps(state, rho_a, rho_b)
     rng = np.random.default_rng(seed)
     best_value, best_pair, best_converged, best_iters = -1.0, None, False, 0
 
@@ -289,7 +272,7 @@ def mu_variational(
                 converged = True
                 break
             x, y = x_dir, y_dir
-            if abs(value - prev) < tol:
+            if abs(value - prev) < _CONVERGENCE_TOL:
                 converged = True
                 break
             prev = value
@@ -335,7 +318,7 @@ def _is_hermitian_pair(x: np.ndarray, y: np.ndarray) -> bool:
     )
 
 
-def extract_witness(state: BipartiteState, rank_tol: float = RANK_TOL) -> ObservablePair:
+def extract_witness(state: BipartiteState) -> ObservablePair:
     """Observable pair achieving the maximal correlation.
 
     The known leading Schmidt pair (sqrt of each marginal) is projected out
@@ -358,10 +341,10 @@ def extract_witness(state: BipartiteState, rank_tol: float = RANK_TOL) -> Observ
     linalg.check_psd(eig_a[0])
     eig_b = linalg.hermitian_eig(rho_b)
     linalg.check_psd(eig_b[0])
-    return _witness(state, _Spectra(state, rho_a, eig_a, rho_b, eig_b, rank_tol), rank_tol)
+    return _witness(state, _Spectra(state, rho_a, eig_a, rho_b, eig_b))
 
 
-def _witness(state: BipartiteState, sp: _Spectra, rank_tol: float) -> ObservablePair:
+def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair:
     """extract_witness on spectra already taken."""
     w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
     z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
@@ -389,7 +372,7 @@ def _witness(state: BipartiteState, sp: _Spectra, rank_tol: float) -> Observable
     pair = _pair_stats(state, sp.rho_a, sp.rho_b, x, y, _is_hermitian_pair(x, y), mult)
 
     if not pair.hermitian:
-        ceiling, hx, hy = _hermitian_ceiling(state, sp, rank_tol)
+        ceiling, hx, hy = _hermitian_ceiling(state, sp)
         if ceiling >= pair.objective - 1e-8:
             hx, _ = _center_normalize(hx, sp.rho_a)
             hy, _ = _center_normalize(hy, sp.rho_b)
@@ -398,10 +381,10 @@ def _witness(state: BipartiteState, sp: _Spectra, rank_tol: float) -> Observable
     return pair
 
 
-def _pair_sums(w: np.ndarray, rank_tol: float):
+def _pair_sums(w: np.ndarray):
     """Eigenbasis entries (i, j) on the support, w_i + w_j > support_cut, and w_i + w_j there (1 elsewhere)."""
     denom = w[:, None] + w[None, :]
-    keep = denom > linalg.support_cut(w, rank_tol)
+    keep = denom > linalg.support_cut(w)
     return keep, np.where(keep, denom, 1.0)
 
 
@@ -420,7 +403,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
-def _hermitian_ceiling(state: BipartiteState, sp: _Spectra, rank_tol: float) -> tuple:
+def _hermitian_ceiling(state: BipartiteState, sp: _Spectra) -> tuple:
     """Largest objective of any feasible hermitian pair and a pair (X, Y) reaching it.
 
     For hermitian X, tr(rho_A X^2) = <X, (rho_A X + X rho_A)/2>, which weighs
@@ -436,7 +419,7 @@ def _hermitian_ceiling(state: BipartiteState, sp: _Spectra, rank_tol: float) -> 
     """
     factors = []
     for w, v in (sp.eig_a, sp.eig_b):
-        keep, safe = _pair_sums(w, rank_tol)
+        keep, safe = _pair_sums(w)
         scale = np.where(keep, np.sqrt(2.0 / safe), 0.0).reshape(-1)
         rotate = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(w.size**2, w.size**2)
         factors.append((rotate * scale) @ _hermitian_basis(w.size))

@@ -6,7 +6,8 @@ are out of reach in general, so everything here produces certified bounds:
 
 * any explicit decomposition certifies an upper bound (mu_ent_upper);
 * Bell fidelity certifies a lower bound for two qubits
-  (fidelity_mu_lower_bound applied inside lambda_bounds);
+  (fidelity_mu_lower_bound; lambda_bounds gives its noisy Bell value
+  1 - 3 eps / 2 in closed form);
 * for the noisy Bell family the two meet the known bracket
   [max(0, 1 - 3 eps / 2), 1 - eps], collapsing to [0, 0] once the state
   turns separable at eps >= 2/3, where the closed-form product ensemble
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .defaults import (
-    COMPONENTS,
-    RANK_TOL,
-    RECONSTRUCTION_TOL,
-    RESTARTS,
-    SEARCH_ITERS,
-)
+from .defaults import COMPONENTS, RECONSTRUCTION_TOL, RESTARTS, SEARCH_ITERS
 from .errors import (
     DimensionMismatchError,
     InvalidDecompositionError,
@@ -45,7 +40,6 @@ __all__ = [
     "Decomposition",
     "IsotropicBounds",
     "PptReport",
-    "QuasiConvexityReport",
     "mu_ent_upper",
     "bell_fidelity",
     "fidelity_mu_lower_bound",
@@ -57,10 +51,11 @@ __all__ = [
     "ppt_check",
     "random_povm_decomposition",
     "decomposition_search",
-    "quasi_convexity_check",
 ]
 
 _WEIGHT_FLOOR = 1e-12
+_TAKAGI_CUT = 1e-9
+"""Relative eigenvalue below which _takagi_symmetric treats a Takagi value as zero."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +73,8 @@ class Decomposition:
             raise InvalidDecompositionError(
                 f"{w.size} weights for {len(comps)} components"
             )
+        if not np.all(np.isfinite(w)):
+            raise InvalidDecompositionError("weights must be finite")
         if np.min(w) < -1e-12:
             raise InvalidDecompositionError(f"negative weight {np.min(w):.3e}")
         if abs(w.sum() - 1.0) > 1e-10:
@@ -116,35 +113,21 @@ class PptReport:
     is_ppt: bool
 
 
-@dataclass(frozen=True)
-class QuasiConvexityReport:
-    """Merged-mixture bound compared against the worst individual bound."""
-
-    individual_bounds: tuple
-    merged_bound: float
-    ok: bool
-    merged: Decomposition
-
-
-def mu_ent_upper(
-    decomposition: Decomposition,
-    rank_tol: float = RANK_TOL,
-    reconstruction_tol: float = RECONSTRUCTION_TOL,
-) -> float:
+def mu_ent_upper(decomposition: Decomposition) -> float:
     """Certified upper bound: worst component maximal correlation.
 
     Raises InvalidDecompositionError unless the mixture rebuilds its target
-    entrywise within reconstruction_tol and every component is a valid state.
+    entrywise within RECONSTRUCTION_TOL and every component is a valid state.
     """
-    return float(np.max(_component_mus(decomposition, rank_tol, reconstruction_tol)))
+    return float(np.max(_component_mus(decomposition)))
 
 
-def _component_mus(decomposition: Decomposition, rank_tol: float, reconstruction_tol: float) -> np.ndarray:
+def _component_mus(decomposition: Decomposition) -> np.ndarray:
     """Maximal correlation of every component of a validated decomposition (see mu_ent_upper)."""
     res = decomposition.residual()
-    if res > reconstruction_tol:
+    if res > RECONSTRUCTION_TOL:
         raise InvalidDecompositionError(
-            f"mixture misses its target by {res:.3e} (tol {reconstruction_tol:.1e})"
+            f"mixture misses its target by {res:.3e} (tol {RECONSTRUCTION_TOL:.1e})"
         )
     for i, c in enumerate(decomposition.components):
         diag = validate(c)
@@ -154,7 +137,7 @@ def _component_mus(decomposition: Decomposition, rank_tol: float, reconstruction
             )
     rhos = np.stack([c.rho for c in decomposition.components])
     target = decomposition.target
-    return linalg.mu_stack(rhos, target.d_a, target.d_b, rank_tol)
+    return linalg.mu_stack(rhos, target.d_a, target.d_b)
 
 
 def bell_fidelity(state: BipartiteState) -> float:
@@ -296,19 +279,19 @@ _SPIN_FLIP = np.kron(
 ).real
 
 
-def _takagi_symmetric(t: np.ndarray, cut_rel: float = 1e-9):
+def _takagi_symmetric(t: np.ndarray):
     """Factor a complex symmetric matrix as U diag(lam) U^T.
 
     Uses the real symmetric embedding [[Re t, Im t], [Im t, -Re t]], whose
     eigenvectors (u; v) at eigenvalue lam > 0 give columns u + iv of a
-    unitary U. Eigenvalues below cut_rel (relative) are treated as zero and
+    unitary U. Eigenvalues below _TAKAGI_CUT (relative) are treated as zero and
     their columns replaced by an orthonormal completion, which leaves the
     factorization exact because zero factors drop out of U diag(lam) U^T.
     Returns (lam descending, U).
     """
     r = t.shape[0]
     w, q = np.linalg.eigh(linalg.hermitian_part(np.block([[t.real, t.imag], [t.imag, -t.real]])))
-    cut = cut_rel * max(1.0, float(np.max(np.abs(w))))
+    cut = _TAKAGI_CUT * max(1.0, float(np.max(np.abs(w))))
     cols = []
     lams = []
     for idx in range(2 * r - 1, -1, -1):
@@ -410,21 +393,20 @@ class _PovmObjective:
     kept=True the indices of the blocks that remain come as a fourth value.
     """
 
-    def __init__(self, target: BipartiteState, k: int, rank_tol: float):
+    def __init__(self, target: BipartiteState, k: int):
         self.target = target
         self.k = k
-        self.rank_tol = rank_tol
         self.sqrt_rho = linalg.psd_sqrt(linalg.hermitian_part(target.rho))
 
     def evaluate(self, blocks: list, kept: bool = False):
         b = np.stack(blocks)
         s = (b.conj().swapaxes(-1, -2) @ b).sum(axis=0)
-        c = b @ linalg.pinv_sqrt_stack(s[None], self.rank_tol)[0]
+        c = b @ linalg.pinv_sqrt_stack(s[None])[0]
         raw = linalg.hermitian_part(self.sqrt_rho @ (c.conj().swapaxes(-1, -2) @ c) @ self.sqrt_rho)
         p = np.real(np.trace(raw, axis1=1, axis2=2))
         keep = p > _WEIGHT_FLOOR
         comps = raw[keep] / p[keep, None, None]
-        out = p[keep], comps, linalg.mu_stack(comps, self.target.d_a, self.target.d_b, self.rank_tol)
+        out = p[keep], comps, linalg.mu_stack(comps, self.target.d_a, self.target.d_b)
         return out + (np.flatnonzero(keep),) if kept else out
 
     def decomposition(self, blocks: list) -> Decomposition:
@@ -486,13 +468,11 @@ def _search_once(
     return objective.decomposition(blocks)
 
 
-def random_povm_decomposition(
-    target: BipartiteState, k: int = 4, seed: int = 0, rank_tol: float = RANK_TOL
-) -> Decomposition:
+def random_povm_decomposition(target: BipartiteState, k: int = 4, seed: int = 0) -> Decomposition:
     """A valid random decomposition with no optimization; a baseline certificate."""
     if k < 1:
         raise RangeError(f"k must be positive, got {k!r}")
-    objective = _PovmObjective(target, k, rank_tol)
+    objective = _PovmObjective(target, k)
     rng = np.random.default_rng(seed)
     return objective.decomposition([_random_block(rng, target.dim) for _ in range(k)])
 
@@ -503,7 +483,6 @@ def decomposition_search(
     restarts: int = RESTARTS,
     iters: int = SEARCH_ITERS,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> Decomposition:
     """Heuristic search for a decomposition with small worst-component correlation.
 
@@ -523,72 +502,21 @@ def decomposition_search(
     if restarts < 0 or iters < 0:
         raise RangeError("restarts and iters must be nonnegative")
     best = _trivial_decomposition(target)
-    best_value = mu_ent_upper(best, rank_tol=rank_tol)
+    best_value = mu_ent_upper(best)
     candidate = _product_ensemble_candidate(target)
     if candidate is not None:
-        value = mu_ent_upper(candidate, rank_tol=rank_tol)
+        value = mu_ent_upper(candidate)
         if value < best_value:
             best, best_value = candidate, value
     floor = 1e-8
     if best_value > floor and restarts > 0:
-        objective = _PovmObjective(target, k, rank_tol)
+        objective = _PovmObjective(target, k)
         rng = np.random.default_rng(seed)
         for _ in range(restarts):
             candidate = _search_once(objective, iters, rng)
-            value = mu_ent_upper(candidate, rank_tol=rank_tol)
+            value = mu_ent_upper(candidate)
             if value < best_value:
                 best, best_value = candidate, value
             if best_value <= floor:
                 break
     return best
-
-
-def quasi_convexity_check(
-    states: list,
-    weights: list,
-    k: int = COMPONENTS,
-    restarts: int = RESTARTS,
-    iters: int = SEARCH_ITERS,
-    seed: int = 0,
-    rank_tol: float = RANK_TOL,
-) -> QuasiConvexityReport:
-    """Check that mixing never pushes the certified bound above the worst part.
-
-    Runs the decomposition search on each state, merges the found
-    decompositions into one decomposition of the mixture, and compares the
-    merged certified bound against the largest individual one.
-    """
-    if len(states) != len(weights) or not states:
-        raise RangeError("need equally many states and weights, at least one")
-    dims = (states[0].d_a, states[0].d_b)
-    for s in states:
-        if (s.d_a, s.d_b) != dims:
-            raise DimensionMismatchError("all states must share one dimension pair")
-    w = np.asarray(weights, dtype=np.float64)
-    if np.min(w) < 0.0 or abs(w.sum() - 1.0) > 1e-10:
-        raise RangeError("weights must be nonnegative and sum to 1")
-
-    decs = [
-        decomposition_search(s, k=k, restarts=restarts, iters=iters, seed=seed + 7 * i, rank_tol=rank_tol)
-        for i, s in enumerate(states)
-    ]
-    individual = tuple(mu_ent_upper(d, rank_tol=rank_tol) for d in decs)
-
-    mixed = BipartiteState(
-        dims[0], dims[1], sum(wi * s.rho for wi, s in zip(w, states))
-    )
-    merged_weights = np.concatenate([wi * d.weights for wi, d in zip(w, decs)])
-    merged_comps = tuple(c for d in decs for c in d.components)
-    keep = merged_weights > _WEIGHT_FLOOR
-    merged = Decomposition(
-        target=mixed,
-        weights=merged_weights[keep] / merged_weights[keep].sum(),
-        components=tuple(c for c, kflag in zip(merged_comps, keep) if kflag),
-    )
-    merged_bound = mu_ent_upper(merged, rank_tol=rank_tol)
-    return QuasiConvexityReport(
-        individual_bounds=individual,
-        merged_bound=merged_bound,
-        ok=merged_bound <= max(individual) + 1e-8,
-        merged=merged,
-    )

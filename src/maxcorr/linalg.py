@@ -72,18 +72,18 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):
+def hermitian_eig(m: np.ndarray):
     """Eigendecomposition of a hermitian matrix.
 
     Returns (w, v) with eigenvalues w sorted descending and eigenvectors in
     the matching columns of v. The input is symmetrized before the solve;
-    deviations from the adjoint beyond tol raise NotHermitianError.
+    deviations from the adjoint beyond HERMITICITY_TOL raise NotHermitianError.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix deviates from its adjoint by {dev:.3e}")
     w, v = np.linalg.eigh(hermitian_part(m))
     return w[::-1].copy(), v[:, ::-1].copy()
@@ -94,19 +94,19 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
 
 
-def check_psd(w: np.ndarray, psd_tol: float = PSD_TOL) -> None:
-    """Reject a descending spectrum whose smallest value lies below -psd_tol * max(1, top)."""
-    if w.size and w[-1] < -psd_tol * max(1.0, float(w[0])):
+def check_psd(w: np.ndarray) -> None:
+    """Reject a descending spectrum whose smallest value lies below -PSD_TOL * max(1, top)."""
+    if w.size and w[-1] < -PSD_TOL * max(1.0, float(w[0])):
         raise NegativeEigenvalueError(f"eigenvalue {w[-1]:.3e} below zero")
 
 
-def support_cut(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Eigenvalues above this bound span the support: rank_tol times the largest, floored at 0.
+def support_cut(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues above this bound span the support: RANK_TOL times the largest, floored at 0.
 
     w is descending along its last axis; the bound has shape (..., 1), one per spectrum,
     and is empty for an empty spectrum.
     """
-    return rank_tol * np.maximum(w[..., :1], 0.0)
+    return RANK_TOL * np.maximum(w[..., :1], 0.0)
 
 
 def sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -114,9 +114,9 @@ def sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitian_part((v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T)
 
 
-def pinv_sqrt_weights(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv_sqrt_weights(w: np.ndarray) -> np.ndarray:
     """1/sqrt(w) above support_cut, 0 below: nonzero exactly on the support, so its count is the rank."""
-    return np.where(w > support_cut(w, rank_tol), 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
+    return np.where(w > support_cut(w), 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
 
 
 def from_eig(f: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -130,20 +130,21 @@ def from_eig(f: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * f[..., None, ::-1]) @ v.conj().swapaxes(-1, -2)
 
 
-def psd_sqrt(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix."""
     w, v = hermitian_eig(m)
-    check_psd(w, psd_tol)
+    check_psd(w)
     return sqrt_from_eig(w, v)
 
 
-def psd_pinv_sqrt(
-    m: np.ndarray, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL
-) -> np.ndarray:
-    """Pseudo-inverse square root of a positive semidefinite matrix (see pinv_sqrt_weights)."""
+def psd_pinv_sqrt(m: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root of a positive semidefinite matrix (see pinv_sqrt_weights).
+
+    The checked one-matrix reference that pinv_sqrt_stack is tested against.
+    """
     w, v = hermitian_eig(m)
-    check_psd(w, psd_tol)
-    return from_eig(pinv_sqrt_weights(w, rank_tol), v)
+    check_psd(w)
+    return from_eig(pinv_sqrt_weights(w), v)
 
 
 def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
@@ -185,17 +186,17 @@ def normalized_form(rho: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray, d_a: 
     return left.reshape(rho.shape) @ rho @ right.reshape(rho.shape)
 
 
-def pinv_sqrt_stack(ms: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv_sqrt_stack(ms: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square roots of a (k, n, n) stack in one batched eigh.
 
     As psd_pinv_sqrt per matrix, through the same pinv_sqrt_weights and from_eig,
     but unchecked: the inputs must be hermitian positive semidefinite by construction.
     """
     w, v = np.linalg.eigh(hermitian_part(ms))
-    return from_eig(pinv_sqrt_weights(w[..., ::-1], rank_tol), v[..., ::-1])
+    return from_eig(pinv_sqrt_weights(w[..., ::-1]), v[..., ::-1])
 
 
-def mu_stack(rhos: np.ndarray, d_a: int, d_b: int, rank_tol: float = RANK_TOL) -> np.ndarray:
+def mu_stack(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """Maximal correlation of every state in a (k, n, n) stack, n = d_a * d_b.
 
     Each value is the second singular value of the realigned normalized form
@@ -204,7 +205,7 @@ def mu_stack(rhos: np.ndarray, d_a: int, d_b: int, rank_tol: float = RANK_TOL) -
     each value equals mu_schmidt's bit for bit; one batched eigh per marginal
     stack and one batched SVD, and the states are not validated.
     """
-    pa = pinv_sqrt_stack(partial_trace(rhos, d_a, d_b, "B"), rank_tol)
-    pb = pinv_sqrt_stack(partial_trace(rhos, d_a, d_b, "A"), rank_tol)
+    pa = pinv_sqrt_stack(partial_trace(rhos, d_a, d_b, "B"))
+    pb = pinv_sqrt_stack(partial_trace(rhos, d_a, d_b, "A"))
     s = np.linalg.svd(realign(normalized_form(rhos, pa, pb, d_a, d_b), d_a, d_b), compute_uv=False)
     return s[:, 1] if s.shape[1] > 1 else np.zeros(len(rhos))

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .defaults import (
-    HERMITICITY_TOL,
-    PROB_SUM_TOL,
-    PSD_TOL,
-    RANK_TOL,
-    TRACE_PRESERVATION_TOL,
-    TRACE_TOL,
-)
+from .defaults import HERMITICITY_TOL, PROB_SUM_TOL, PSD_TOL, TRACE_PRESERVATION_TOL, TRACE_TOL
 from .errors import DimensionMismatchError, RangeError
 
 __all__ = [
@@ -126,6 +119,8 @@ class LocalChannel:
         for k in ks:
             if k.shape != shape:
                 raise DimensionMismatchError("Kraus blocks must share one shape")
+            if not np.all(np.isfinite(k.view(np.float64))):
+                raise RangeError("Kraus blocks contain non-finite entries")
         comp = sum(k.conj().T @ k for k in ks)
         dev = np.max(np.abs(comp - np.eye(shape[1])))
         if dev > TRACE_PRESERVATION_TOL:
@@ -156,13 +151,7 @@ class StateDiagnostics:
         return not self.failures
 
 
-def validate(
-    state: BipartiteState,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-    rank_tol: float = RANK_TOL,
-) -> StateDiagnostics:
+def validate(state: BipartiteState) -> StateDiagnostics:
     """Check hermiticity, normalization, and positivity; never raises."""
     rho = state.rho
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
@@ -172,15 +161,15 @@ def validate(
     ranks = []
     for side in ("A", "B"):
         w = np.linalg.eigvalsh(linalg.hermitian_part(state.marginal(side)))[::-1]
-        ranks.append(int(np.count_nonzero(w > linalg.support_cut(w, rank_tol))))
+        ranks.append(int(np.count_nonzero(w > linalg.support_cut(w))))
 
     failures = []
-    if herm_dev > hermiticity_tol:
-        failures.append(f"hermiticity: deviation {herm_dev:.3e} exceeds {hermiticity_tol:.1e}")
-    if trace_dev > trace_tol:
-        failures.append(f"normalization: trace off by {trace_dev:.3e} (tol {trace_tol:.1e})")
-    if min_eig < -psd_tol:
-        failures.append(f"positivity: eigenvalue {min_eig:.3e} below -{psd_tol:.1e}")
+    if herm_dev > HERMITICITY_TOL:
+        failures.append(f"hermiticity: deviation {herm_dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
+    if trace_dev > TRACE_TOL:
+        failures.append(f"normalization: trace off by {trace_dev:.3e} (tol {TRACE_TOL:.1e})")
+    if min_eig < -PSD_TOL:
+        failures.append(f"positivity: eigenvalue {min_eig:.3e} below -{PSD_TOL:.1e}")
     return StateDiagnostics(
         hermiticity_deviation=herm_dev,
         trace_deviation=trace_dev,

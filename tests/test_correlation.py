@@ -162,7 +162,7 @@ def test_folded_maps_are_contraction_pinv_and_centering(d_a, d_b):
         st = mc.random_density(d_a, d_b, rank=rank, seed=rank)
         rho4 = st.rho.reshape(d_a, d_b, d_a, d_b)
         rho_a, rho_b = st.marginal("A"), st.marginal("B")
-        to_x, weight_a, to_y, weight_b = correlation._folded_maps(st, rho_a, rho_b, RANK_TOL)
+        to_x, weight_a, to_y, weight_b = correlation._folded_maps(st, rho_a, rho_b)
         assert to_x.shape == (d_a * d_a, d_b * d_b) and to_y.shape == (d_b * d_b, d_a * d_a)
         pinv_a = np.linalg.pinv(rho_a, rcond=RANK_TOL, hermitian=True)
         pinv_b = np.linalg.pinv(rho_b, rcond=RANK_TOL, hermitian=True)
@@ -221,17 +221,6 @@ def test_oracle_keeps_its_recorded_values_and_iterations():
         assert (res.iterations, res.converged) == (iterations, converged), i
 
 
-def test_normalized_operator_of_product_is_sqrt_product():
-    st = mc.random_product(2, 2, seed=2)
-    a = st.marginal("A")
-    b = st.marginal("B")
-    from maxcorr.linalg import psd_sqrt
-
-    want = np.kron(psd_sqrt(a), psd_sqrt(b))
-    got = mc.normalized_operator(st)
-    assert np.max(np.abs(got - want)) < 1e-10
-
-
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
@@ -262,8 +251,8 @@ def hermitian_ceiling(st):
     """correlation._hermitian_ceiling on freshly taken marginal spectra, without its pair."""
     rho_a, rho_b = st.marginal("A"), st.marginal("B")
     eig_a, eig_b = linalg.hermitian_eig(rho_a), linalg.hermitian_eig(rho_b)
-    spectra = correlation._Spectra(st, rho_a, eig_a, rho_b, eig_b, RANK_TOL)
-    return correlation._hermitian_ceiling(st, spectra, RANK_TOL)[0]
+    spectra = correlation._Spectra(st, rho_a, eig_a, rho_b, eig_b)
+    return correlation._hermitian_ceiling(st, spectra)[0]
 
 
 def with_marginal_ratio(st, ratio):

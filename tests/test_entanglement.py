@@ -3,9 +3,7 @@ import pytest
 
 import maxcorr as mc
 from maxcorr import entanglement
-from maxcorr.defaults import RANK_TOL
 from maxcorr.errors import (
-    DimensionMismatchError,
     InvalidDecompositionError,
     RangeError,
 )
@@ -52,6 +50,15 @@ def test_decomposition_weight_checks():
         mc.Decomposition(target=st, weights=np.array([0.7, 0.7]), components=(st, st))
     with pytest.raises(InvalidDecompositionError):
         mc.Decomposition(target=st, weights=np.array([]), components=())
+
+
+@pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan]])
+def test_decomposition_rejects_nonfinite_weights(weights):
+    # NaN passes every < and > weight check, and its NaN residual passes mu_ent_upper's check,
+    # so a Bell target would be certified at 0 by product components.
+    comps = tuple(mc.random_product(2, 2, seed=s) for s in range(len(weights)))
+    with pytest.raises(InvalidDecompositionError):
+        mc.Decomposition(target=mc.isotropic(0.0), weights=np.array(weights), components=comps)
 
 
 def test_mu_ent_upper_rejects_wrong_mixture():
@@ -210,26 +217,6 @@ def test_random_povm_decomposition_reproducible_and_valid():
     assert mc.mu_ent_upper(a) <= 1.0 + 1e-12
 
 
-def test_quasi_convexity_of_the_certified_bound():
-    states = [product_mixture(21), mc.isotropic(0.5), mc.random_density(2, 2, seed=5)]
-    weights = [0.3, 0.4, 0.3]
-    rep = mc.quasi_convexity_check(states, weights, k=4, restarts=1, iters=80, seed=2)
-    assert rep.ok
-    assert rep.merged_bound <= max(rep.individual_bounds) + 1e-8
-    assert rep.merged.residual() < 1e-8
-
-
-def test_quasi_convexity_input_checks():
-    with pytest.raises(RangeError):
-        mc.quasi_convexity_check([], [])
-    with pytest.raises(DimensionMismatchError):
-        mc.quasi_convexity_check(
-            [mc.isotropic(0.5), mc.random_density(2, 3, seed=0)], [0.5, 0.5]
-        )
-    with pytest.raises(RangeError):
-        mc.quasi_convexity_check([mc.isotropic(0.5)], [0.9])
-
-
 def test_search_trajectory_is_pinned():
     """Bounds the seeded search certified with the per-component implementation.
 
@@ -243,7 +230,7 @@ def test_search_trajectory_is_pinned():
     st = mc.random_density(3, 3, seed=0)
     dec = mc.decomposition_search(st, k=8, restarts=1, iters=200, seed=0)
     assert abs(mc.mu_ent_upper(dec) - 0.45925460155704856) < 1e-12
-    objective = entanglement._PovmObjective(st, 8, RANK_TOL)
+    objective = entanglement._PovmObjective(st, 8)
     restart = entanglement._search_once(objective, 200, np.random.default_rng(0))
     assert abs(mc.mu_ent_upper(restart) - 0.5844134345406811) < 1e-12
 
@@ -253,7 +240,7 @@ def test_evaluate_drops_components_at_or_below_the_weight_floor():
     rng = np.random.default_rng(4)
     full = [entanglement._random_block(rng, 6) for _ in range(3)]
     blocks = [full[0], np.zeros((6, 6), dtype=complex), full[1], 1e-9 * full[2], full[2]]
-    objective = entanglement._PovmObjective(st, len(blocks), RANK_TOL)
+    objective = entanglement._PovmObjective(st, len(blocks))
     weights, comps, mus = objective.evaluate(blocks)
     assert weights.shape == (3,) and comps.shape == (3, 6, 6) and mus.shape == (3,)
     assert np.min(weights) > entanglement._WEIGHT_FLOOR
@@ -267,11 +254,11 @@ def test_worst_component_maps_to_its_block_past_a_dropped_one():
     rng = np.random.default_rng(2)
     full = [entanglement._random_block(rng, 4) for _ in range(4)]
     blocks = full[:1] + [np.zeros((4, 4), dtype=complex)] + full[1:]
-    objective = entanglement._PovmObjective(st, len(blocks), RANK_TOL)
+    objective = entanglement._PovmObjective(st, len(blocks))
     weights, comps, mus, kept = objective.evaluate(blocks, kept=True)
     assert kept.tolist() == [0, 2, 3, 4]
     # The zero block adds nothing to S, so the other blocks give the same components in order.
-    dense = entanglement._PovmObjective(st, len(full), RANK_TOL).evaluate(full)
+    dense = entanglement._PovmObjective(st, len(full)).evaluate(full)
     assert np.array_equal(mus, dense[2]) and np.array_equal(comps, dense[1])
     # _search_once perturbs and kicks blocks[kept[argmax(mus)]]; argmax(mus) alone points one block early here.
     worst = int(kept[np.argmax(mus)])

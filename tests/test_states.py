@@ -145,6 +145,13 @@ def test_channel_trace_preservation_and_application():
     assert mc.validate(out).ok
 
 
+def test_channel_rejects_nonfinite_kraus():
+    k = np.eye(2, dtype=complex)
+    k[0, 1] = np.nan
+    with pytest.raises(RangeError):
+        mc.LocalChannel(side="A", kraus=(k,))
+
+
 def test_channel_needs_enough_output_room():
     with pytest.raises(RangeError):
         mc.random_channel(4, 1, kraus_rank=2, seed=0)
