@@ -1,8 +1,11 @@
 """Command line front end.
 
-Every subcommand prints one JSON report to stdout. Reports are deterministic
-for identical (input, flags, seed) triples once the "timing" block is
-stripped; nothing else in the report depends on the clock or the machine.
+Every subcommand prints one JSON report to stdout. Subcommands only compute:
+each returns its inputs, seed, results, warnings and whether a property was
+violated, and main alone times the run, builds the report, encodes it and
+sets the exit code. Reports are deterministic for identical (input, flags,
+seed) triples once the "timing" block is stripped; nothing else in the
+report depends on the clock or the machine.
 
 Exit codes: 0 success, 1 property violation (a mathematical invariant failed
 on the given input), 2 input error (unreadable, unparsable, or invalid data).
@@ -78,14 +81,28 @@ MAX_DIM = 4
 # file formats
 
 
+def _json_default(obj):
+    """Encoder hook of _to_json: numpy arrays and scalars become lists and Python numbers,
+    and complex values (Python or numpy, scalar or array) become [re, im] pairs."""
+    if isinstance(obj, complex) or (isinstance(obj, np.ndarray) and np.iscomplexobj(obj)):
+        return np.stack([np.real(obj), np.imag(obj)], axis=-1).tolist()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _to_json(obj) -> str:
+    """The one JSON encoding of reports and state files: indent 2, sorted keys."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+
+
 def state_payload(state: BipartiteState) -> dict:
-    return {"dims": [state.d_a, state.d_b], "matrix": _matrix_payload(state.rho)}
+    return {"dims": [state.d_a, state.d_b], "matrix": state.rho}
 
 
 def write_state_file(path: str, state: BipartiteState) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_payload(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_to_json(state_payload(state)) + "\n")
 
 
 def read_state_file(path: str) -> BipartiteState:
@@ -185,54 +202,22 @@ def _tolerances() -> dict:
     }
 
 
-def _matrix_payload(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _witness_payload(pair) -> dict:
-    return {
-        "x": _matrix_payload(pair.x),
-        "y": _matrix_payload(pair.y),
-        "mean_x": [float(pair.mean_x.real), float(pair.mean_x.imag)],
-        "mean_y": [float(pair.mean_y.real), float(pair.mean_y.imag)],
-        "second_moment_x": float(pair.second_moment_x),
-        "second_moment_y": float(pair.second_moment_y),
-        "objective": float(pair.objective),
-        "hermitian": bool(pair.hermitian),
-        "second_multiplicity": int(pair.second_multiplicity),
-    }
-
-
-def _emit(command: str, inputs: dict, seed, results: dict, warnings: list, started: float) -> None:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "tolerances": _tolerances(),
-        "results": results,
-        "warnings": list(warnings),
-        "timing": {"wall_time_s": time.monotonic() - started},
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, seed, results, warnings, violation)
 
 
-def cmd_mu(args) -> int:
-    started = time.monotonic()
+def cmd_mu(args) -> tuple:
     state = read_state_file(args.state)
     report = mu_schmidt(state, witness=args.witness)
     warnings = list(report.warnings)
     results = {
         "mu": report.mu,
-        "schmidt": [float(s) for s in report.schmidt],
+        "schmidt": report.schmidt,
         "lambda1_deviation": report.lambda1_deviation,
-        "marginal_ranks": list(report.marginal_ranks),
+        "marginal_ranks": report.marginal_ranks,
     }
     if report.witness is not None:
-        results["witness"] = _witness_payload(report.witness)
+        results["witness"] = asdict(report.witness)
     violation = bool(report.warnings)
     if args.oracle:
         tol, _ = _agreement_tol()
@@ -252,26 +237,22 @@ def cmd_mu(args) -> int:
                 f"oracle value {oracle.value!r} outside [{low!r}, {high!r}]"
             )
             violation = True
-    _emit("mu", _file_inputs(args.state), args.seed if args.oracle else None, results, warnings, started)
-    return 1 if violation else 0
+    return _file_inputs(args.state), args.seed if args.oracle else None, results, warnings, violation
 
 
-def cmd_mu_classical(args) -> int:
-    started = time.monotonic()
+def cmd_mu_classical(args) -> tuple:
     joint = read_joint_csv(args.table)
     report = mu_classical(joint)
     results = {
         "mu": report.mu,
-        "singular_values": [float(s) for s in report.schmidt],
+        "singular_values": report.schmidt,
         "lambda1_deviation": report.lambda1_deviation,
-        "support_shape": list(report.marginal_ranks),
+        "support_shape": report.marginal_ranks,
     }
-    _emit("mu-classical", _file_inputs(args.table), None, results, list(report.warnings), started)
-    return 1 if report.warnings else 0
+    return _file_inputs(args.table), None, results, report.warnings, bool(report.warnings)
 
 
-def cmd_ment(args) -> int:
-    started = time.monotonic()
+def cmd_ment(args) -> tuple:
     state = read_state_file(args.state)
     warnings = []
     violation = False
@@ -287,8 +268,8 @@ def cmd_ment(args) -> int:
         "upper_bound": upper,
         "decomposition": {
             "size": len(dec.components),
-            "weights": [float(w) for w in dec.weights],
-            "component_mu": [float(m) for m in comp_mus],
+            "weights": dec.weights,
+            "component_mu": comp_mus,
             "residual": dec.residual(),
         },
     }
@@ -297,8 +278,7 @@ def cmd_ment(args) -> int:
         lower = fidelity_mu_lower_bound(state)
         results["lower_bound"] = lower
         results["bell_fidelity"] = bell_fidelity(state)
-        ppt = ppt_check(state)
-        results["ppt"] = {"min_eigenvalue": ppt.min_eigenvalue, "is_ppt": ppt.is_ppt}
+        results["ppt"] = asdict(ppt_check(state))
         if upper < lower - 1e-8:
             warnings.append(
                 f"certified bounds crossed: upper {upper!r} below lower {lower!r}"
@@ -309,23 +289,18 @@ def cmd_ment(args) -> int:
             results["isotropic"] = asdict(lambda_bounds(delta)) if delta <= 1.0 else {"epsilon": delta}
     else:
         results["lower_bound"] = 0.0
-
-    _emit("ment", _file_inputs(args.state), args.seed, results, warnings, started)
-    return 1 if violation else 0
+    return _file_inputs(args.state), args.seed, results, warnings, violation
 
 
-def cmd_iso_bounds(args) -> int:
-    started = time.monotonic()
-    _emit("iso-bounds", {"epsilon": args.epsilon}, None, asdict(lambda_bounds(args.epsilon)), [], started)
-    return 0
+def cmd_iso_bounds(args) -> tuple:
+    return {"epsilon": args.epsilon}, None, asdict(lambda_bounds(args.epsilon)), [], False
 
 
-def cmd_twirl(args) -> int:
-    started = time.monotonic()
+def cmd_twirl(args) -> tuple:
     state = read_state_file(args.state)
     tw = twirl_exact(state)
     cliff = twirl_clifford_average(state)
-    gap = float(np.max(np.abs(tw.rho - cliff.rho)))
+    gap = np.max(np.abs(tw.rho - cliff.rho))
     delta = _twirl_noise(state)
     warnings = []
     violation = False
@@ -339,45 +314,26 @@ def cmd_twirl(args) -> int:
         "clifford_average_gap": gap,
         "state": state_payload(tw),
     }
-    _emit("twirl", _file_inputs(args.state), None, results, warnings, started)
-    return 1 if violation else 0
+    return _file_inputs(args.state), None, results, warnings, violation
 
 
-def cmd_ppt(args) -> int:
-    started = time.monotonic()
+def cmd_ppt(args) -> tuple:
     state = read_state_file(args.state)
-    ppt = ppt_check(state)
-    results = {"min_eigenvalue": ppt.min_eigenvalue, "is_ppt": ppt.is_ppt}
-    _emit("ppt", _file_inputs(args.state), None, results, [], started)
-    return 0
+    return _file_inputs(args.state), None, asdict(ppt_check(state)), [], False
 
 
-def cmd_gen(args) -> int:
-    started = time.monotonic()
-    if args.kind == "isotropic":
-        state = isotropic(args.epsilon)
-        write_state_file(args.output, state)
-        inputs = {"kind": "isotropic", "epsilon": args.epsilon}
-        seed = None
-    elif args.kind == "bsc":
-        joint = classical_bsc(args.epsilon)
-        write_joint_csv(args.output, joint)
-        inputs = {"kind": "bsc", "epsilon": args.epsilon}
-        seed = None
-    else:
+def cmd_gen(args) -> tuple:
+    if args.kind == "random":
         _check_dims(args.da, args.db)
         state = random_density(args.da, args.db, rank=args.rank, seed=args.seed)
         write_state_file(args.output, state)
-        inputs = {
-            "kind": "random",
-            "d_a": args.da,
-            "d_b": args.db,
-            "rank": args.rank,
-        }
-        seed = args.seed
-    results = _file_inputs(args.output)
-    _emit("gen", inputs, seed, results, [], started)
-    return 0
+        inputs = {"kind": "random", "d_a": args.da, "d_b": args.db, "rank": args.rank}
+        return inputs, args.seed, _file_inputs(args.output), [], False
+    if args.kind == "isotropic":
+        write_state_file(args.output, isotropic(args.epsilon))
+    else:
+        write_joint_csv(args.output, classical_bsc(args.epsilon))
+    return {"kind": args.kind, "epsilon": args.epsilon}, None, _file_inputs(args.output), [], False
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +373,7 @@ def _trial_suite(per_trial, key: str):
             worst, violations = min(values), sum(v < 0.0 for v in values)
         else:
             worst, violations = max(values), sum(v > 1e-7 for v in values)
-        return {"trials": trials, key: float(worst)}, int(violations)
+        return {"trials": trials, key: worst}, violations
 
     return run
 
@@ -466,8 +422,8 @@ def _suite_extremes(trials: int, seed: int, dims: tuple) -> tuple:
     return (
         {
             "trials": trials,
-            "worst_product_mu": float(worst_product),
-            "worst_pure_mu": float(worst_pure),
+            "worst_product_mu": worst_product,
+            "worst_pure_mu": worst_pure,
         },
         violations,
     )
@@ -529,8 +485,7 @@ SUITES = {
 }
 
 
-def cmd_suite(args) -> int:
-    started = time.monotonic()
+def cmd_suite(args) -> tuple:
     if args.name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {args.name!r}; available: {', '.join(SUITES)}"
@@ -543,15 +498,8 @@ def cmd_suite(args) -> int:
     warnings = []
     if violations:
         warnings.append(f"{violations} trial(s) violated the property")
-    _emit(
-        "suite",
-        {"name": args.name, "dims": list(dims), "trials": args.trials},
-        args.seed,
-        results,
-        warnings,
-        started,
-    )
-    return 1 if violations else 0
+    inputs = {"name": args.name, "dims": dims, "trials": args.trials}
+    return inputs, args.seed, results, warnings, bool(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +588,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        inputs, seed, results, warnings, violation = args.func(args)
+        text = _to_json(
+            {
+                "command": args.command,
+                "inputs": inputs,
+                "seed": seed,
+                "tolerances": _tolerances(),
+                "results": results,
+                "warnings": warnings,
+                "timing": {"wall_time_s": time.monotonic() - started},
+            }
+        )
     except (OSError, MaxcorrError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return 1 if violation else 0
 
 
 if __name__ == "__main__":

@@ -196,10 +196,13 @@ def _twirl_noise(state: BipartiteState) -> float:
 
 
 def _isotropic_noise(state: BipartiteState) -> float | None:
-    """Noise delta of the noisy Bell state a two-qubit state equals entrywise within 1e-9, else None."""
+    """Noise delta of the noisy Bell state a two-qubit state equals entrywise within 1e-9, else None.
+
+    delta is clamped at 0: a Bell state whose fidelity rounds just above 1 is noiseless.
+    """
     if (state.d_a, state.d_b) != (2, 2):
         return None
-    delta = _twirl_noise(state)
+    delta = max(_twirl_noise(state), 0.0)
     return delta if np.max(np.abs(state.rho - _noisy_bell(delta).rho)) < 1e-9 else None
 
 

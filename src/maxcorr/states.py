@@ -152,23 +152,26 @@ class StateDiagnostics:
 
 
 def validate(state: BipartiteState) -> StateDiagnostics:
-    """Check hermiticity, normalization, and positivity; never raises."""
-    rho = state.rho
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    trace_dev = float(abs(rho.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(rho))[0])
+    """Check hermiticity, normalization, and positivity; never raises.
 
-    ranks = []
-    for side in ("A", "B"):
-        w = np.linalg.eigvalsh(linalg.hermitian_part(state.marginal(side)))[::-1]
-        ranks.append(int(np.count_nonzero(w > linalg.support_cut(w))))
+    Entries near the float limit can overflow to inf and NaN; every check fails on NaN.
+    """
+    rho = state.rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
+        trace_dev = float(abs(rho.trace() - 1.0))
+        min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(rho))[0])
+        ranks = []
+        for side in ("A", "B"):
+            w = np.linalg.eigvalsh(linalg.hermitian_part(state.marginal(side)))[::-1]
+            ranks.append(int(np.count_nonzero(w > linalg.support_cut(w))))
 
     failures = []
-    if herm_dev > HERMITICITY_TOL:
+    if not herm_dev <= HERMITICITY_TOL:
         failures.append(f"hermiticity: deviation {herm_dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    if trace_dev > TRACE_TOL:
+    if not trace_dev <= TRACE_TOL:
         failures.append(f"normalization: trace off by {trace_dev:.3e} (tol {TRACE_TOL:.1e})")
-    if min_eig < -PSD_TOL:
+    if not min_eig >= -PSD_TOL:
         failures.append(f"positivity: eigenvalue {min_eig:.3e} below -{PSD_TOL:.1e}")
     return StateDiagnostics(
         hermiticity_deviation=herm_dev,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ def test_ment_on_bell_state(tmp_path, capsys):
     assert res["ppt"]["is_ppt"] is False
 
 
+def test_ment_on_a_bell_state_rounded_above_fidelity_one(tmp_path, capsys):
+    """Entries of 0.5 + 2e-16 put the Bell fidelity a few ulps above 1; the noise is 0."""
+    rho = np.zeros((4, 4))
+    rho[np.ix_([0, 3], [0, 3])] = 0.5000000000000002
+    path = str(tmp_path / "bell.json")
+    write_state_file(path, mc.BipartiteState(2, 2, rho))
+    code, rep = report(capsys, "ment", path, "--restarts", "0")
+    assert code == 0
+    assert rep["results"]["isotropic"]["epsilon"] == 0.0
+
+
 @pytest.mark.parametrize("dims,seed", [(("2", "2"), "9"), (("3", "3"), "0")])
 def test_ment_component_mu_meets_upper_bound_exactly(tmp_path, capsys, dims, seed):
     path = str(tmp_path / "st.json")
@@ -220,6 +232,17 @@ def test_malformed_state_file_is_an_input_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_overflowing_state_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    matrix = [[[0, 0], [1e308, 1e308]], [[1e308, -1e308], [1, 0]]]
+    path.write_text(json.dumps({"dims": [1, 2], "matrix": matrix}), encoding="utf-8")
+    for command in ("mu", "ment"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+
 def _half_identity(n):
     return [[[0.5 if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
 
@@ -243,6 +266,27 @@ def test_state_file_edges_are_parse_errors(tmp_path, capsys, payload):
     code, out, err = run(capsys, "mu", path)
     assert code == 2
     assert err.startswith("error:")
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["random", "--da", "2", "--db", "3", "--seed", "5"], "random23.json"),
+        (["random", "--da", "2", "--db", "2", "--seed", "9"], "random22.json"),
+        (["random", "--da", "3", "--db", "3", "--rank", "2", "--seed", "4"], "random33r2.json"),
+        (["random", "--da", "2", "--db", "3", "--rank", "1", "--seed", "0"], "pure23.json"),
+        (["isotropic", "0.2"], "iso02.json"),
+    ],
+    ids=["random23", "random22", "random33r2", "pure23", "iso02"],
+)
+def test_gen_reproduces_golden_inputs(tmp_path, capsys, argv, golden):
+    path = tmp_path / golden
+    code, _ = report(capsys, "gen", *argv, "-o", str(path))
+    assert code == 0
+    assert path.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_gen_rejects_oversized_dims(capsys, tmp_path):

@@ -3,9 +3,7 @@
 Each file under tests/data/golden/reports is the JSON report of one `maxcorr`
 invocation below, run from tests/data/golden with the "timing" block
 removed and re-serialized the way the CLI prints it (indent 2, sorted
-keys). `ment` is pinned without decomposition.component_mu, which comes from
-the same batched kernel as upper_bound rather than from one mu_schmidt per
-component.
+keys).
 """
 
 import json
@@ -39,12 +37,10 @@ CASES = {
 
 
 def pinned_report(argv, capsys):
-    """Run one invocation and return its report as pinned: no timing, no component_mu."""
+    """Run one invocation and return its report as pinned: no timing."""
     assert main(list(argv)) in (0, 1)
     rep = json.loads(capsys.readouterr().out)
     rep.pop("timing")
-    if argv[0] == "ment":
-        rep["results"]["decomposition"].pop("component_mu")
     return json.dumps(rep, indent=2, sort_keys=True) + "\n"
 
 

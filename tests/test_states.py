@@ -50,6 +50,14 @@ def test_validate_flags_each_failure_kind():
     assert not d.ok
 
 
+def test_validate_flags_an_overflowing_state_without_raising():
+    # The hermitian part overflows to inf and its eigenvalues come out NaN.
+    rho = np.array([[0.0, 1e308 + 1e308j], [1e308 - 1e308j, 1.0]])
+    d = mc.validate(mc.BipartiteState(1, 2, rho))
+    assert any(f.startswith("positivity:") for f in d.failures)
+    assert not d.ok
+
+
 def test_bell_projector_is_pure():
     p = mc.bell_projector()
     assert abs(np.trace(p) - 1.0) < 1e-14
