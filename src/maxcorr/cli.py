@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state file (JSON)")
     p.add_argument("--k", type=int, default=COMPONENTS, help="components in the search")
     p.add_argument("--restarts", type=int, default=RESTARTS, help="search restarts")
-    p.add_argument("--iters", type=int, default=SEARCH_ITERS, help="search iterations per restart")
+    p.add_argument("--iters", type=int, default=SEARCH_ITERS, help="proposals evaluated per search restart, two per step")
     p.add_argument("--seed", type=_seed, default=0, help="search seed")
     p.set_defaults(func=cmd_ment)
 

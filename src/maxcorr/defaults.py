@@ -34,7 +34,7 @@ COMPONENTS = 8
 """Default number of components k in decomposition search."""
 
 SEARCH_ITERS = 400
-"""Default local-search iterations per decomposition-search restart."""
+"""Default proposals evaluated per decomposition-search restart (two per search step)."""
 
 ORACLE_ITERS = 2000
 """Default alternating-update iterations per variational restart."""

@@ -23,6 +23,7 @@ certified even when the search is far from optimal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,18 +192,18 @@ def single_qubit_cliffords() -> tuple:
 
 
 def _twirl_noise(state: BipartiteState) -> float:
-    """Noise delta = 4 (1 - F) / 3 of the noisy Bell state the twirl lands on."""
-    return 4.0 * (1.0 - bell_fidelity(state)) / 3.0
-
-
-def _isotropic_noise(state: BipartiteState) -> float | None:
-    """Noise delta of the noisy Bell state a two-qubit state equals entrywise within 1e-9, else None.
+    """Noise delta = 4 (1 - F) / 3 of the noisy Bell state the twirl lands on.
 
     delta is clamped at 0: a Bell state whose fidelity rounds just above 1 is noiseless.
     """
+    return max(4.0 * (1.0 - bell_fidelity(state)) / 3.0, 0.0)
+
+
+def _isotropic_noise(state: BipartiteState) -> float | None:
+    """Noise delta of the noisy Bell state a two-qubit state equals entrywise within 1e-9, else None."""
     if (state.d_a, state.d_b) != (2, 2):
         return None
-    delta = max(_twirl_noise(state), 0.0)
+    delta = _twirl_noise(state)
     return delta if np.max(np.abs(state.rho - _noisy_bell(delta).rho)) < 1e-9 else None
 
 
@@ -210,9 +211,9 @@ def twirl_exact(state: BipartiteState) -> BipartiteState:
     """Average of (U (x) U*) rho (U (x) U*)^dag over Haar-random U, in closed form.
 
     The twirl depends on the input only through its Bell fidelity F and
-    lands on the noisy Bell family at noise delta = 4 (1 - F) / 3. States
-    with F < 1/4 give delta > 1; the output matrix is assembled directly
-    since it remains a valid state for delta up to 4/3.
+    lands on the noisy Bell family at noise delta = 4 (1 - F) / 3, clamped
+    at 0. States with F < 1/4 give delta > 1; the output matrix is assembled
+    directly since it remains a valid state for delta up to 4/3.
     """
     return _noisy_bell(_twirl_noise(state))
 
@@ -389,11 +390,15 @@ class _PovmObjective:
     parameter point yields p_i = tr(rho E_i) and components
     sqrt(rho) E_i sqrt(rho) / p_i that rebuild the target identically.
 
-    evaluate stacks the k blocks: S, the E_i, p_i and components come from
-    batched products, S^{-1/2} and every component correlation from linalg's
-    stacked kernels (three batched eigh calls and one batched SVD in all).
-    Components with p_i at or below _WEIGHT_FLOOR are dropped; with
-    kept=True the indices of the blocks that remain come as a fourth value.
+    evaluate scores a stack of trials at once: an (m, k, n, n) array holds m
+    parameter points of k blocks each. Every S, E_i, p_i and component comes
+    from batched products, every S^{-1/2} from one batched eigh, and the
+    correlations of all kept components of all trials from one mu_stack call
+    (one more batched eigh, two when d_a != d_b, and one batched SVD). Each
+    trial gets the same bits as it would evaluated alone; a one-trial caller
+    passes blocks[None]. Components with p_i at or below _WEIGHT_FLOOR are
+    dropped. Returns one (weights, components, mus, kept) tuple per trial,
+    kept holding the indices of the blocks whose components remain.
     """
 
     def __init__(self, target: BipartiteState, k: int):
@@ -401,31 +406,55 @@ class _PovmObjective:
         self.k = k
         self.sqrt_rho = linalg.psd_sqrt(linalg.hermitian_part(target.rho))
 
-    def evaluate(self, blocks: list, kept: bool = False):
-        b = np.stack(blocks)
-        s = (b.conj().swapaxes(-1, -2) @ b).sum(axis=0)
-        c = b @ linalg.pinv_sqrt_stack(s[None])[0]
-        raw = linalg.hermitian_part(self.sqrt_rho @ (c.conj().swapaxes(-1, -2) @ c) @ self.sqrt_rho)
-        p = np.real(np.trace(raw, axis1=1, axis2=2))
+    def evaluate(self, trials: np.ndarray) -> list:
+        b = np.asarray(trials)
+        s = (b.conj().swapaxes(-1, -2) @ b).sum(axis=1)
+        c = b @ linalg.pinv_sqrt_stack(s)[:, None]
+        raw = self.sqrt_rho @ (c.conj().swapaxes(-1, -2) @ c) @ self.sqrt_rho
+        raw += raw.conj().swapaxes(-1, -2)  # hermitian_part, in place: same bits, no temporaries
+        raw /= 2.0
+        p = np.real(np.trace(raw, axis1=-2, axis2=-1))
         keep = p > _WEIGHT_FLOOR
-        comps = raw[keep] / p[keep, None, None]
-        out = p[keep], comps, linalg.mu_stack(comps, self.target.d_a, self.target.d_b)
-        return out + (np.flatnonzero(keep),) if kept else out
+        weights = p[keep]
+        comps = raw[keep] / weights[:, None, None]
+        mus = linalg.mu_stack(comps, self.target.d_a, self.target.d_b)
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        return [
+            (weights[a:z], comps[a:z], mus[a:z], np.flatnonzero(row))
+            for a, z, row in zip([0] + ends, ends, keep)
+        ]
 
-    def decomposition(self, blocks: list) -> Decomposition:
-        weights, comps, _ = self.evaluate(blocks)
+    def decomposition(self, blocks: np.ndarray) -> Decomposition:
+        weights, comps, _, _ = self.evaluate(blocks[None])[0]
         weights = weights / weights.sum()
         states = tuple(BipartiteState(self.target.d_a, self.target.d_b, c) for c in comps)
         return Decomposition(target=self.target, weights=weights, components=states)
 
 
 def _random_block(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    z = rng.standard_normal((2, n, n))
+    return (z[0] + 1j * z[1]) / np.sqrt(n)
+
+
+def _random_blocks(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    return np.stack([_random_block(rng, n) for _ in range(k)])
 
 
 def _soft_worst(mus: np.ndarray, temp: float) -> float:
-    m = float(np.max(mus))
-    return m + temp * float(np.log(np.sum(np.exp((mus - m) / temp))))
+    """Soft maximum of the component correlations (never empty: the weights sum to 1)."""
+    m = float(mus.max())
+    return m + temp * math.log(float(np.exp((mus - m) / temp).sum()))
+
+
+_PROPOSALS = 2
+"""Proposals per search step, scored in one stacked evaluate."""
+
+_KICK_AFTER = 30
+"""Steps without an accepted proposal after which the search replaces its worst block."""
+
+_STEP_UP, _STEP_DOWN = 1.3**_PROPOSALS, 0.85**_PROPOSALS
+"""Step-size factors after a step with and without an accepted proposal: those
+of one proposal, compounded over the proposals a step scores."""
 
 
 def _search_once(
@@ -434,36 +463,38 @@ def _search_once(
     rng: np.random.Generator,
 ) -> Decomposition:
     n, k = objective.target.dim, objective.k
-    blocks = [_random_block(rng, n) for _ in range(k)]
-    _, _, mus, kept = objective.evaluate(blocks, kept=True)
+    blocks = _random_blocks(rng, n, k)
+    _, _, mus, kept = objective.evaluate(blocks[None])[0]
+    steps = -(-iters // _PROPOSALS)
     temp0, temp1 = 0.1, 0.005
     step = 0.3
     stale = 0
-    for t in range(iters):
-        temp = temp0 * (temp1 / temp0) ** (t / max(iters - 1, 1))
+    for t in range(steps):
+        temp = temp0 * (temp1 / temp0) ** (t / max(steps - 1, 1))
         current = _soft_worst(mus, temp)
-        if rng.random() < 0.5 and mus.size:
-            i = int(kept[np.argmax(mus)])
-        else:
-            i = int(rng.integers(k))
-        trial = [b for b in blocks]
-        trial[i] = blocks[i] + step * _random_block(rng, n)
-        _, _, mus_trial, kept_trial = objective.evaluate(trial, kept=True)
-        if mus_trial.size and _soft_worst(mus_trial, temp) < current:
-            blocks = trial
-            mus, kept = mus_trial, kept_trial
-            step = min(step * 1.3, 2.0)
+        worst = int(kept[mus.argmax()])
+        # An odd budget gives its last step one proposal.
+        trials = np.repeat(blocks[None], min(_PROPOSALS, iters - _PROPOSALS * t), axis=0)
+        for trial in trials:
+            i = worst if rng.random() < 0.5 else int(rng.integers(k))
+            trial[i] += step * _random_block(rng, n)
+        results = objective.evaluate(trials)
+        scores = [_soft_worst(r[2], temp) for r in results]
+        best = scores.index(min(scores))
+        if scores[best] < current:
+            blocks = trials[best]
+            _, _, mus, kept = results[best]
+            step = min(step * _STEP_UP, 2.0)
             stale = 0
         else:
-            step = max(step * 0.85, 1e-3)
+            step = max(step * _STEP_DOWN, 1e-3)
             stale += 1
-            if stale >= 60:
+            if stale >= _KICK_AFTER:
                 # Kick a stuck search: replace the worst block outright.
-                j = int(kept[np.argmax(mus)])
-                fresh = [b for b in blocks]
-                fresh[j] = _random_block(rng, n)
-                _, _, mus_fresh, kept_fresh = objective.evaluate(fresh, kept=True)
-                if mus_fresh.size and _soft_worst(mus_fresh, temp) < current:
+                fresh = blocks.copy()
+                fresh[worst] = _random_block(rng, n)
+                _, _, mus_fresh, kept_fresh = objective.evaluate(fresh[None])[0]
+                if _soft_worst(mus_fresh, temp) < current:
                     blocks = fresh
                     mus, kept = mus_fresh, kept_fresh
                 step = 0.3
@@ -477,7 +508,7 @@ def random_povm_decomposition(target: BipartiteState, k: int = 4, seed: int = 0)
         raise RangeError(f"k must be positive, got {k!r}")
     objective = _PovmObjective(target, k)
     rng = np.random.default_rng(seed)
-    return objective.decomposition([_random_block(rng, target.dim) for _ in range(k)])
+    return objective.decomposition(_random_blocks(rng, target.dim, k))
 
 
 def decomposition_search(
@@ -492,13 +523,18 @@ def decomposition_search(
     Two structured candidates are tried first: the trivial one-component
     decomposition, and the closed-form product ensemble for two-qubit
     targets whose spin-flip spectrum permits one (every separable one).
-    Random starts of a local derivative-free descent (block perturbations
-    with adaptive step, accepted only on improvement, on a soft-max of the
+    Random starts of a local derivative-free descent then run, but only while
+    the best certified bound stays above a floor that further local search
+    cannot meaningfully beat. The descent minimizes a soft-max of the
     component correlations whose temperature anneals toward the true worst
-    value) then run, but only while the best certified bound stays above a
-    floor that further local search cannot meaningfully beat. The result is
-    always a valid decomposition, so the bound it certifies holds no matter
-    how well the search did.
+    value. Each of its ceil(iters / 2) steps draws two proposals (the last
+    step one, when iters is odd), each perturbing the worst kept block half
+    the time and a random block otherwise, scores them in one stacked
+    evaluate, and accepts the better one only if it improves on the current
+    point; the step size adapts per step by the factors of two single
+    proposals, and 30 steps without an acceptance replace the worst block
+    outright. The result is always a valid decomposition, so the bound it
+    certifies holds no matter how well the search did.
     """
     if k < 1:
         raise RangeError(f"k must be positive, got {k!r}")

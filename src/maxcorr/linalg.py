@@ -203,9 +203,15 @@ def mu_stack(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     (1 (x) rho_B^{-1/2}) rho (rho_A^{-1/2} (x) 1), or 0 if there is only one.
     The marginals, normalized form and realignment are mu_schmidt's own, so
     each value equals mu_schmidt's bit for bit; one batched eigh per marginal
-    stack and one batched SVD, and the states are not validated.
+    stack (one for both when d_a == d_b) and one batched SVD, and the states
+    are not validated.
     """
-    pa = pinv_sqrt_stack(partial_trace(rhos, d_a, d_b, "B"))
-    pb = pinv_sqrt_stack(partial_trace(rhos, d_a, d_b, "A"))
+    ma = partial_trace(rhos, d_a, d_b, "B")
+    mb = partial_trace(rhos, d_a, d_b, "A")
+    if d_a == d_b:
+        both = pinv_sqrt_stack(np.concatenate([ma, mb]))
+        pa, pb = both[: len(ma)], both[len(ma) :]
+    else:
+        pa, pb = pinv_sqrt_stack(ma), pinv_sqrt_stack(mb)
     s = np.linalg.svd(realign(normalized_form(rhos, pa, pb, d_a, d_b), d_a, d_b), compute_uv=False)
     return s[:, 1] if s.shape[1] > 1 else np.zeros(len(rhos))

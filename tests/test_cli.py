@@ -131,6 +131,17 @@ def test_ment_on_a_bell_state_rounded_above_fidelity_one(tmp_path, capsys):
     assert rep["results"]["isotropic"]["epsilon"] == 0.0
 
 
+def test_twirl_of_a_bell_state_rounded_above_fidelity_one(tmp_path, capsys):
+    """The same rounded Bell state twirls to noise 0, not to a few ulps below it."""
+    rho = np.zeros((4, 4))
+    rho[np.ix_([0, 3], [0, 3])] = 0.5000000000000002
+    path = str(tmp_path / "bell.json")
+    write_state_file(path, mc.BipartiteState(2, 2, rho))
+    code, rep = report(capsys, "twirl", path)
+    assert code == 0
+    assert rep["results"]["epsilon"] == 0.0
+
+
 @pytest.mark.parametrize("dims,seed", [(("2", "2"), "9"), (("3", "3"), "0")])
 def test_ment_component_mu_meets_upper_bound_exactly(tmp_path, capsys, dims, seed):
     path = str(tmp_path / "st.json")

@@ -1,5 +1,6 @@
 """Property tests of mu, the hermitian ceiling and the variational oracle over
-every dims pair 2x2-4x4, and of the certified two-qubit bracket.
+every dims pair 2x2-4x4, of mu on product states from 1x1 up, and of the
+certified two-qubit bracket.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maxcorr as mc
+from maxcorr import linalg
 from test_correlation import haar_unitary, hermitian_ceiling
 from test_entanglement import noisy_bell
 
@@ -66,6 +68,16 @@ def test_ceiling_is_one_on_pure_entangled_states(d_a, d_b, seed):
     witness = mc.extract_witness(state)
     assert witness.hermitian
     assert abs(witness.objective - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(seeds)
+def test_product_states_have_zero_mu(seed):
+    for d_a in range(1, 5):
+        for d_b in range(1, 5):
+            state = mc.random_product(d_a, d_b, seed=seed)
+            assert mc.mu_schmidt(state).mu <= 1e-12
+            assert linalg.mu_stack(state.rho[None], d_a, d_b)[0] <= 1e-12
 
 
 @PROPERTY
