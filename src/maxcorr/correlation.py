@@ -13,15 +13,16 @@ alternating-ascent oracle solves the defining optimization directly, each
 half-step one of two folded linear maps and no SVD anywhere in it, and so
 cross-checks the spectral route independently.
 
-Each entry point diagonalizes each marginal exactly once (linalg.hermitian_eig)
-and derives ranks, (pseudo-inverse) square roots and the hermitian witness from it.
+Each entry point takes, checks and diagonalizes both marginals exactly once
+(_Spectra) and derives ranks, (pseudo-inverse) square roots, the folded maps
+and the hermitian witness from those eigenpairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,16 +89,30 @@ class VariationalResult:
 
 
 class _Spectra:
-    """A state's marginals with their checked eigendecompositions, and what derives from them."""
+    """A state's two marginals, checked and diagonalized once, and what derives from them.
 
-    def __init__(self, state: BipartiteState, rho_a, eig_a, rho_b, eig_b):
-        self.rho_a, self.eig_a, self.rho_b, self.eig_b = rho_a, eig_a, rho_b, eig_b
-        weights = [linalg.pinv_sqrt_weights(w) for w, _ in (eig_a, eig_b)]
-        self.ranks = tuple(int(np.count_nonzero(f)) for f in weights)
-        self.inv_a = linalg.from_eig(weights[0], eig_a[1])
-        self.inv_b = linalg.from_eig(weights[1], eig_b[1])
-        tilde = linalg.normalized_form(state.rho, self.inv_a, self.inv_b, state.d_a, state.d_b)
-        self.realigned = linalg.realign(tilde, state.d_a, state.d_b)
+    Both marginals are checked hermitian (linalg.hermitian_eig), then both
+    positive semidefinite, so every entry point raises the same error on the
+    same input. The normalized form is built on first use: the oracle reads
+    only the eigenpairs and never pays for it.
+    """
+
+    def __init__(self, state: BipartiteState):
+        self.state = state
+        self.rho_a, self.rho_b = state.marginal("A"), state.marginal("B")
+        self.eig_a, self.eig_b = linalg.hermitian_eig(self.rho_a), linalg.hermitian_eig(self.rho_b)
+        linalg.check_psd(self.eig_a[0])
+        linalg.check_psd(self.eig_b[0])
+
+    @cached_property
+    def normalized(self) -> tuple:
+        """(marginal ranks, rho_A^{-1/2}, rho_B^{-1/2}, realigned normalized form)."""
+        (w_a, v_a), (w_b, v_b), st = self.eig_a, self.eig_b, self.state
+        f_a, f_b = linalg.pinv_sqrt_weights(w_a), linalg.pinv_sqrt_weights(w_b)
+        inv_a, inv_b = linalg.from_eig(f_a, v_a), linalg.from_eig(f_b, v_b)
+        tilde = linalg.normalized_form(st.rho, inv_a, inv_b, st.d_a, st.d_b)
+        ranks = (int(np.count_nonzero(f_a)), int(np.count_nonzero(f_b)))
+        return ranks, inv_a, inv_b, linalg.realign(tilde, st.d_a, st.d_b)
 
 
 def mu_schmidt(state: BipartiteState, witness: bool = False) -> CorrelationReport:
@@ -108,16 +123,13 @@ def mu_schmidt(state: BipartiteState, witness: bool = False) -> CorrelationRepor
     valid state; its deviation is reported and warned about beyond 1e-6.
     When witness is true the maximizing observable pair is attached.
 
-    One eigendecomposition per marginal (both checked hermitian, then both
-    positive semidefinite) gives the ranks, the normalized form and the witness.
+    One eigendecomposition per marginal (_Spectra: both checked hermitian,
+    then both positive semidefinite) gives the ranks, the normalized form and
+    the witness.
     """
-    rho_a, rho_b = state.marginal("A"), state.marginal("B")
-    eig_a, eig_b = linalg.hermitian_eig(rho_a), linalg.hermitian_eig(rho_b)
-    linalg.check_psd(eig_a[0])
-    linalg.check_psd(eig_b[0])
-    spectra = _Spectra(state, rho_a, eig_a, rho_b, eig_b)
-
-    schmidt = linalg.singular_values(spectra.realigned)
+    spectra = _Spectra(state)
+    ranks, _, _, realigned = spectra.normalized
+    schmidt = linalg.singular_values(realigned)
     mu = float(schmidt[1]) if schmidt.size > 1 else 0.0
     dev = float(abs(schmidt[0] - 1.0)) if schmidt.size else 1.0
 
@@ -132,7 +144,7 @@ def mu_schmidt(state: BipartiteState, witness: bool = False) -> CorrelationRepor
         mu=mu,
         schmidt=schmidt,
         lambda1_deviation=dev,
-        marginal_ranks=spectra.ranks,
+        marginal_ranks=ranks,
         witness=pair,
         warnings=tuple(warnings),
     )
@@ -179,29 +191,31 @@ def mu_classical(joint: ClassicalJoint) -> CorrelationReport:
     )
 
 
-def _center_normalize(op: np.ndarray, marginal: np.ndarray):
-    """Project out the identity component and scale to unit weighted norm."""
+def _center_normalize(op: np.ndarray, marginal: np.ndarray) -> np.ndarray | None:
+    """Project out the identity component and scale to unit weighted norm; None if nothing is left."""
     centered = op - (marginal @ op).trace() * linalg.eye(marginal.shape[0])
     norm = float(np.sqrt(max(np.real((marginal @ centered @ centered.conj().T).trace()), 0.0)))
     if norm < _ZERO_DIRECTION:
-        return None, 0.0
-    return centered / norm, norm
+        return None
+    return centered / norm
 
 
-def _folded_maps(state: BipartiteState, rho_a, rho_b) -> tuple:
+def _folded_maps(state: BipartiteState, sp: _Spectra) -> tuple:
     """The oracle's half-steps as matrices on row-major vec, and the weights that normalize them.
 
     to_x @ vec(Y) is vec of rho_A^+ tr_B((I (x) Y^dag) rho)^dag less its
     tr(rho_A .) I component, and to_y @ vec(X) is vec of rho_B^+ tr_A((X (x) I) rho)
     centered likewise; weight_a = sqrt(rho_A) (x) I, so ||weight_a @ vec(X)||^2 =
-    tr(rho_A X X^dag). One hermitian_eig per marginal gives its pseudo-inverse
+    tr(rho_A X X^dag). Each marginal's eigenpairs in sp give its pseudo-inverse
     and its square root. Returns (to_x, weight_a, to_y, weight_b).
     """
     rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
     out = []
-    for rho_m, spec, operand in ((rho_a, "pm,qkmj->pqkj", rho4.conj()), (rho_b, "pj,kjim->pmik", rho4)):
+    for rho_m, (w, v), spec, operand in (
+        (sp.rho_a, sp.eig_a, "pm,qkmj->pqkj", rho4.conj()),
+        (sp.rho_b, sp.eig_b, "pj,kjim->pmik", rho4),
+    ):
         d = rho_m.shape[0]
-        w, v = linalg.hermitian_eig(rho_m)
         keep = w > linalg.support_cut(w)
         pinv = linalg.from_eig(np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0), v)
         step = np.einsum(spec, pinv, operand).reshape(d * d, -1)
@@ -221,12 +235,14 @@ def _half_step(to: np.ndarray, weight: np.ndarray, v: np.ndarray):
     return u / norm, norm
 
 
-def _pair_stats(state: BipartiteState, rho_a, rho_b, x, y, hermitian: bool, mult: int) -> ObservablePair:
-    mean_x = complex((rho_a @ x).trace())
-    mean_y = complex((rho_b @ y).trace())
-    m2_x = float(np.real((rho_a @ x @ x.conj().T).trace()))
-    m2_y = float(np.real((rho_b @ y @ y.conj().T).trace()))
+def _pair_stats(state: BipartiteState, sp: _Spectra, x, y, mult: int = 1) -> ObservablePair:
+    """The pair's moments and objective; hermitian when both lie within 1e-8 of their adjoints."""
+    mean_x = complex((sp.rho_a @ x).trace())
+    mean_y = complex((sp.rho_b @ y).trace())
+    m2_x = float(np.real((sp.rho_a @ x @ x.conj().T).trace()))
+    m2_y = float(np.real((sp.rho_b @ y @ y.conj().T).trace()))
     obj = float(abs((state.rho @ np.kron(x, y.conj().T)).trace()))
+    hermitian = all(float(np.max(np.abs(z - z.conj().T))) < 1e-8 for z in (x, y))
     return ObservablePair(x, y, mean_x, mean_y, m2_x, m2_y, obj, hermitian, mult)
 
 
@@ -249,20 +265,19 @@ def mu_variational(
     the best value over restarts is reported together with the achieving
     feasible pair; when no restart meets _CONVERGENCE_TOL the best feasible
     value found is still returned, flagged as unconverged.
+
+    The marginals are taken and checked as in mu_schmidt (_Spectra: both
+    hermitian, then both positive semidefinite).
     """
     if restarts < 1 or iters < 1:
         raise RangeError("restarts and iters must be positive")
-    rho_a, rho_b = state.marginal("A"), state.marginal("B")
-    to_x, weight_a, to_y, weight_b = _folded_maps(state, rho_a, rho_b)
+    sp = _Spectra(state)
+    to_x, weight_a, to_y, weight_b = _folded_maps(state, sp)
     rng = np.random.default_rng(seed)
     best_value, best_pair, best_converged, best_iters = -1.0, None, False, 0
 
     for _ in range(restarts):
-        y = rng.standard_normal((state.d_b, state.d_b)) + 1j * rng.standard_normal((state.d_b, state.d_b))
-        y, _n = _center_normalize(y, rho_b)
-        if y is None:
-            continue
-        y, x = y.reshape(-1), np.zeros(state.d_a * state.d_a)
+        y, x = _random_observable(sp.rho_b, rng).reshape(-1), np.zeros(state.d_a * state.d_a)
         value, prev, converged, used = 0.0, -1.0, False, 0
         for it in range(iters):
             used = it + 1
@@ -282,40 +297,24 @@ def mu_variational(
             best_converged = converged
             best_iters = used
 
-    if best_pair is None or best_value <= 0.0:
+    if best_value <= 0.0:
         # No usable ascent direction anywhere: the state is (numerically) a
         # product state and every feasible pair scores zero. Return a basic
         # feasible pair built from any centered direction.
-        x = _fallback_observable(rho_a, rng)
-        y = _fallback_observable(rho_b, rng)
-        pair = _pair_stats(state, rho_a, rho_b, x, y, False, 1)
-        return VariationalResult(value=pair.objective, witness=pair, converged=True, iterations=0)
-
-    x, y = best_pair
-    pair = _pair_stats(state, rho_a, rho_b, x, y, _is_hermitian_pair(x, y), 1)
-    return VariationalResult(
-        value=pair.objective,
-        witness=pair,
-        converged=best_converged,
-        iterations=best_iters,
-    )
+        best_pair = (_random_observable(sp.rho_a, rng), _random_observable(sp.rho_b, rng))
+        best_converged, best_iters = True, 0
+    pair = _pair_stats(state, sp, *best_pair)
+    return VariationalResult(value=pair.objective, witness=pair, converged=best_converged, iterations=best_iters)
 
 
-def _fallback_observable(marginal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _random_observable(marginal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A random complex Gaussian observable, centered and normalized against marginal."""
     d = marginal.shape[0]
     for _ in range(16):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        op, _ = _center_normalize(g, marginal)
+        op = _center_normalize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), marginal)
         if op is not None:
             return op
     raise RangeError("marginal admits no zero-mean unit-variance observable")
-
-
-def _is_hermitian_pair(x: np.ndarray, y: np.ndarray) -> bool:
-    return (
-        float(np.max(np.abs(x - x.conj().T))) < 1e-8
-        and float(np.max(np.abs(y - y.conj().T))) < 1e-8
-    )
 
 
 def extract_witness(state: BipartiteState) -> ObservablePair:
@@ -332,25 +331,21 @@ def extract_witness(state: BipartiteState) -> ObservablePair:
     closed form from the same spectra), when the ceiling is within 1e-8 of the
     objective; that pair is read off the ceiling's own singular vectors.
 
-    One eigendecomposition per marginal (A checked hermitian and positive
-    semidefinite, then B) gives the roots and the ceiling;
-    mu_schmidt(witness=True) passes its own and diagonalizes nothing again.
+    One eigendecomposition per marginal (_Spectra: both checked hermitian,
+    then both positive semidefinite, as in mu_schmidt) gives the roots and the
+    ceiling; mu_schmidt(witness=True) passes its own and diagonalizes nothing again.
     """
-    rho_a, rho_b = state.marginal("A"), state.marginal("B")
-    eig_a = linalg.hermitian_eig(rho_a)
-    linalg.check_psd(eig_a[0])
-    eig_b = linalg.hermitian_eig(rho_b)
-    linalg.check_psd(eig_b[0])
-    return _witness(state, _Spectra(state, rho_a, eig_a, rho_b, eig_b))
+    return _witness(state, _Spectra(state))
 
 
 def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair:
     """extract_witness on spectra already taken."""
+    _, inv_a, inv_b, realigned = sp.normalized
     w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
     z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
     w = w / np.linalg.norm(w)
     z = z / np.linalg.norm(z)
-    deflated = sp.realigned - np.outer(w, w.conj() @ sp.realigned)
+    deflated = realigned - np.outer(w, w.conj() @ realigned)
     deflated = deflated - np.outer(deflated @ z, z.conj())
 
     u, s, vh = np.linalg.svd(deflated)
@@ -361,23 +356,22 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair:
 
     m2 = u[:, 0].reshape(state.d_a, state.d_a)
     n2 = vh[0, :].reshape(state.d_b, state.d_b)
-    x, _ = _center_normalize(sp.inv_a @ m2.conj().T, sp.rho_a)
-    y, _ = _center_normalize(sp.inv_b @ n2, sp.rho_b)
+    x = _center_normalize(inv_a @ m2.conj().T, sp.rho_a)
+    y = _center_normalize(inv_b @ n2, sp.rho_b)
 
     # Rotate Y's phase so the raw objective is real positive.
     raw = (state.rho @ np.kron(x, y.conj().T)).trace()
     if abs(raw) > 0.0:
         y = y * np.exp(1j * np.angle(raw))
 
-    pair = _pair_stats(state, sp.rho_a, sp.rho_b, x, y, _is_hermitian_pair(x, y), mult)
+    pair = _pair_stats(state, sp, x, y, mult)
 
     if not pair.hermitian:
         ceiling, hx, hy = _hermitian_ceiling(state, sp)
         if ceiling >= pair.objective - 1e-8:
-            hx, _ = _center_normalize(hx, sp.rho_a)
-            hy, _ = _center_normalize(hy, sp.rho_b)
+            hx, hy = _center_normalize(hx, sp.rho_a), _center_normalize(hy, sp.rho_b)
             if hx is not None and hy is not None:
-                return _pair_stats(state, sp.rho_a, sp.rho_b, hx, hy, True, mult)
+                return _pair_stats(state, sp, hx, hy, mult)
     return pair
 
 

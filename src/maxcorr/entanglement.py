@@ -23,6 +23,7 @@ certified even when the search is far from optimal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-12
+_FLOOR = 1e-8
+"""Certified bound at or below which decomposition_search starts no further restart."""
 _TAKAGI_CUT = 1e-9
 """Relative eigenvalue below which _takagi_symmetric treats a Takagi value as zero."""
 
@@ -274,10 +277,6 @@ def ppt_check(state: BipartiteState) -> PptReport:
     return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= -1e-10)
 
 
-def _trivial_decomposition(target: BipartiteState) -> Decomposition:
-    return Decomposition(target=target, weights=np.array([1.0]), components=(target,))
-
-
 _SPIN_FLIP = np.kron(
     np.array([[0.0, -1j], [1j, 0.0]]), np.array([[0.0, -1j], [1j, 0.0]])
 ).real
@@ -329,7 +328,8 @@ def _product_ensemble_candidate(target: BipartiteState) -> Decomposition | None:
     if (target.d_a, target.d_b) != (2, 2):
         return None
     w, v = np.linalg.eigh(linalg.hermitian_part(target.rho))
-    ensemble = v * np.sqrt(np.clip(w, 0.0, None))
+    # Round-off eigenvalues would give columns whose spin-flip overlaps sit at _TAKAGI_CUT.
+    ensemble = v * np.sqrt(np.where(w > linalg.support_cut(w[::-1]), w, 0.0))
     overlap = ensemble.T @ _SPIN_FLIP @ ensemble
     overlap = (overlap + overlap.T) / 2.0
     lam, u = _takagi_symmetric(overlap)
@@ -338,17 +338,17 @@ def _product_ensemble_candidate(target: BipartiteState) -> Decomposition | None:
     if lam[0] > lam[1] + lam[2] + lam[3] + 1e-8:
         return None
     recombined = ensemble @ u.conj()
-    side_1, side_2, side_3 = lam[0], lam[1], lam[2] + lam[3]
-    if side_1 <= 0.0:
+    a, b, c = lam[0], lam[1], lam[2] + lam[3]  # the polygon's sides
+    if a <= 0.0:
         theta = np.zeros(4)
     else:
-        if side_2 <= 0.0:
+        if b <= 0.0:
             return None
-        cos_beta = (side_1 * side_1 + side_2 * side_2 - side_3 * side_3) / (
-            2.0 * side_1 * side_2
-        )
-        phi_2 = np.pi - np.arccos(np.clip(cos_beta, -1.0, 1.0))
-        partial = side_1 + side_2 * np.exp(1j * phi_2)
+        # The angle between sides a and b has sine 4 area / 2ab (Heron) and cosine
+        # (a^2 + b^2 - c^2) / 2ab; arccos of a cosine that rounds to 1 is off by ~1e-8.
+        area4 = math.sqrt(max((a + b + c) * (b + c - a) * (a + c - b) * (a + b - c), 0.0))
+        phi_2 = np.pi - math.atan2(area4, a * a + b * b - c * c)
+        partial = a + b * np.exp(1j * phi_2)
         phi_3 = float(np.angle(-partial)) if abs(partial) > 0.0 else 0.0
         theta = np.array([0.0, phi_2, phi_3, phi_3]) / 2.0
     phased = recombined * np.exp(1j * theta)[None, :]
@@ -402,6 +402,8 @@ class _PovmObjective:
     """
 
     def __init__(self, target: BipartiteState, k: int):
+        if k < 1:
+            raise RangeError(f"k must be positive, got {k!r}")
         self.target = target
         self.k = k
         self.sqrt_rho = linalg.psd_sqrt(linalg.hermitian_part(target.rho))
@@ -449,9 +451,6 @@ def _soft_worst(mus: np.ndarray, temp: float) -> float:
 _PROPOSALS = 2
 """Proposals per search step, scored in one stacked evaluate."""
 
-_KICK_AFTER = 30
-"""Steps without an accepted proposal after which the search replaces its worst block."""
-
 _STEP_UP, _STEP_DOWN = 1.3**_PROPOSALS, 0.85**_PROPOSALS
 """Step-size factors after a step with and without an accepted proposal: those
 of one proposal, compounded over the proposals a step scores."""
@@ -468,7 +467,6 @@ def _search_once(
     steps = -(-iters // _PROPOSALS)
     temp0, temp1 = 0.1, 0.005
     step = 0.3
-    stale = 0
     for t in range(steps):
         temp = temp0 * (temp1 / temp0) ** (t / max(steps - 1, 1))
         current = _soft_worst(mus, temp)
@@ -485,27 +483,13 @@ def _search_once(
             blocks = trials[best]
             _, _, mus, kept = results[best]
             step = min(step * _STEP_UP, 2.0)
-            stale = 0
         else:
             step = max(step * _STEP_DOWN, 1e-3)
-            stale += 1
-            if stale >= _KICK_AFTER:
-                # Kick a stuck search: replace the worst block outright.
-                fresh = blocks.copy()
-                fresh[worst] = _random_block(rng, n)
-                _, _, mus_fresh, kept_fresh = objective.evaluate(fresh[None])[0]
-                if _soft_worst(mus_fresh, temp) < current:
-                    blocks = fresh
-                    mus, kept = mus_fresh, kept_fresh
-                step = 0.3
-                stale = 0
     return objective.decomposition(blocks)
 
 
 def random_povm_decomposition(target: BipartiteState, k: int = 4, seed: int = 0) -> Decomposition:
     """A valid random decomposition with no optimization; a baseline certificate."""
-    if k < 1:
-        raise RangeError(f"k must be positive, got {k!r}")
     objective = _PovmObjective(target, k)
     rng = np.random.default_rng(seed)
     return objective.decomposition(_random_blocks(rng, target.dim, k))
@@ -524,7 +508,7 @@ def decomposition_search(
     decomposition, and the closed-form product ensemble for two-qubit
     targets whose spin-flip spectrum permits one (every separable one).
     Random starts of a local derivative-free descent then run, but only while
-    the best certified bound stays above a floor that further local search
+    the best certified bound stays above _FLOOR, which further local search
     cannot meaningfully beat. The descent minimizes a soft-max of the
     component correlations whose temperature anneals toward the true worst
     value. Each of its ceil(iters / 2) steps draws two proposals (the last
@@ -532,30 +516,19 @@ def decomposition_search(
     the time and a random block otherwise, scores them in one stacked
     evaluate, and accepts the better one only if it improves on the current
     point; the step size adapts per step by the factors of two single
-    proposals, and 30 steps without an acceptance replace the worst block
-    outright. The result is always a valid decomposition, so the bound it
+    proposals. The result is always a valid decomposition, so the bound it
     certifies holds no matter how well the search did.
     """
-    if k < 1:
-        raise RangeError(f"k must be positive, got {k!r}")
+    objective = _PovmObjective(target, k)
     if restarts < 0 or iters < 0:
         raise RangeError("restarts and iters must be nonnegative")
-    best = _trivial_decomposition(target)
-    best_value = mu_ent_upper(best)
-    candidate = _product_ensemble_candidate(target)
-    if candidate is not None:
-        value = mu_ent_upper(candidate)
+    rng = np.random.default_rng(seed)
+    best, best_value = None, math.inf
+    trivial = Decomposition(target=target, weights=np.array([1.0]), components=(target,))
+    # Restarts are drawn lazily: each starts only while the best bound is above _FLOOR.
+    restarted = (_search_once(objective, iters, rng) for _ in range(restarts) if best_value > _FLOOR)
+    for candidate in itertools.chain([trivial, _product_ensemble_candidate(target)], restarted):
+        value = math.inf if candidate is None else mu_ent_upper(candidate)
         if value < best_value:
             best, best_value = candidate, value
-    floor = 1e-8
-    if best_value > floor and restarts > 0:
-        objective = _PovmObjective(target, k)
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            candidate = _search_once(objective, iters, rng)
-            value = mu_ent_upper(candidate)
-            if value < best_value:
-                best, best_value = candidate, value
-            if best_value <= floor:
-                break
     return best

@@ -110,6 +110,17 @@ def test_ment_certifies_the_bell_fidelity_zero_member(tmp_path, capsys):
     assert rep["results"]["upper_bound"] <= 1e-8
 
 
+def test_ment_certifies_a_rank_two_product_mixture_at_zero(tmp_path, capsys):
+    """(|00><00| + |a+><a+|)/2 with a = cos(pi/6)|0> + sin(pi/6)|1>: separable, rank 2."""
+    a = np.array([np.cos(np.pi / 6.0), np.sin(np.pi / 6.0)])
+    vs = [np.kron([1.0, 0.0], [1.0, 0.0]), np.kron(a, np.array([1.0, 1.0]) / np.sqrt(2.0))]
+    path = str(tmp_path / "mix.json")
+    write_state_file(path, mc.BipartiteState(2, 2, sum(np.outer(v, v) for v in vs) / 2.0))
+    code, rep = report(capsys, "ment", path)
+    assert code == 0
+    assert rep["results"]["upper_bound"] <= 1e-12
+
+
 def test_ment_on_bell_state(tmp_path, capsys):
     path = str(tmp_path / "bell.json")
     report(capsys, "gen", "isotropic", "0.0", "-o", path)

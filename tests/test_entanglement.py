@@ -181,6 +181,39 @@ def test_search_resolves_separable_mixtures_without_restarts():
         assert dec.residual() < 1e-8
 
 
+def test_product_ensemble_rejects_entangled_pure_states():
+    for seed in range(20):
+        assert entanglement._product_ensemble_candidate(mc.random_pure(2, 2, seed=seed)) is None
+
+
+def test_search_stops_restarting_at_the_floor(monkeypatch):
+    """A 2x3 separable mixture has mu > 0, so one restart runs; it returns the
+    target's own product decomposition, bound ~0, and no further restart starts."""
+    rng = np.random.default_rng(5)
+    comps = []
+    for _ in range(3):
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        comps.append(mc.BipartiteState(2, 3, np.outer(v, v.conj())))
+    weights = np.array([0.5, 0.3, 0.2])
+    st = mc.BipartiteState(2, 3, sum(w * c.rho for w, c in zip(weights, comps)))
+    own = entanglement.Decomposition(target=st, weights=weights, components=tuple(comps))
+    calls = []
+
+    def search_once(objective, iters, rng):
+        calls.append(iters)
+        return own
+
+    monkeypatch.setattr(entanglement, "_search_once", search_once)
+    assert mc.mu_schmidt(st).mu > 1e-8
+    dec = mc.decomposition_search(st, k=4, restarts=5, iters=10, seed=0)
+    assert len(calls) == 1
+    assert dec is own and mc.mu_ent_upper(dec) <= 1e-8
+    with pytest.raises(RangeError):
+        mc.random_povm_decomposition(st, k=0)
+
+
 def test_search_never_beats_certified_lower_bound():
     for eps in (0.2, 0.4, 0.6):
         st = mc.isotropic(eps)
@@ -260,7 +293,7 @@ def test_worst_component_maps_to_its_block_past_a_dropped_one():
     # The zero block adds nothing to S, so the other blocks give the same components in order.
     dense = entanglement._PovmObjective(st, len(full)).evaluate(np.stack(full)[None])[0]
     assert np.array_equal(mus, dense[2]) and np.array_equal(comps, dense[1])
-    # _search_once perturbs and kicks blocks[kept[argmax(mus)]]; argmax(mus) alone points one block early here.
+    # _search_once perturbs blocks[kept[argmax(mus)]]; argmax(mus) alone points one block early here.
     worst = int(kept[np.argmax(mus)])
     assert blocks[worst] is full[int(np.argmax(dense[2]))]
     assert worst != int(np.argmax(mus))

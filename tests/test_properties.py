@@ -1,6 +1,6 @@
 """Property tests of mu, the hermitian ceiling and the variational oracle over
-every dims pair 2x2-4x4, of mu on product states from 1x1 up, and of the
-certified two-qubit bracket.
+every dims pair 2x2-4x4, of mu on product states from 1x1 up, of the
+certified two-qubit bracket and of the two-qubit product ensemble.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import maxcorr as mc
 from maxcorr import linalg
 from test_correlation import haar_unitary, hermitian_ceiling
-from test_entanglement import noisy_bell
+from test_entanglement import noisy_bell, product_mixture
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -86,3 +86,13 @@ def test_product_states_have_zero_mu(seed):
 def test_fidelity_lower_bound_stays_below_search_certificate(state):
     dec = mc.decomposition_search(state, restarts=0)
     assert mc.fidelity_mu_lower_bound(state) <= mc.mu_ent_upper(dec) + 1e-9
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 4))
+def test_search_certifies_mixtures_of_pure_products_at_zero(seed, terms):
+    # Rank-deficient mixtures included: the product ensemble alone must certify them.
+    state = product_mixture(seed, terms)
+    dec = mc.decomposition_search(state, restarts=0)
+    assert mc.mu_ent_upper(dec) <= 1e-12
+    assert dec.residual() <= 1e-10
