@@ -15,7 +15,8 @@ cross-checks the spectral route independently.
 
 Each entry point takes, checks and diagonalizes both marginals exactly once
 (_Spectra) and derives ranks, (pseudo-inverse) square roots, the folded maps
-and the hermitian witness from those eigenpairs.
+and the hermitian witness from those eigenpairs. The witness chooses its pair
+before it builds one, so exactly one ObservablePair is scored per witness.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class VariationalResult:
     """Best value found by the alternating-ascent oracle."""
 
     value: float
-    witness: ObservablePair
+    witness: ObservablePair | None
     converged: bool
     iterations: int
 
@@ -91,16 +92,19 @@ class VariationalResult:
 class _Spectra:
     """A state's two marginals, checked and diagonalized once, and what derives from them.
 
-    Both marginals are checked hermitian (linalg.hermitian_eig), then both
-    positive semidefinite, so every entry point raises the same error on the
-    same input. The normalized form is built on first use: the oracle reads
-    only the eigenpairs and never pays for it.
+    Both marginals are checked hermitian (linalg.hermitian_eig, one call on both
+    when d_a == d_b), then both positive semidefinite, so every entry point
+    raises the same error on the same input. The normalized form is built on
+    first use: the oracle reads only the eigenpairs and never pays for it.
     """
 
     def __init__(self, state: BipartiteState):
         self.state = state
         self.rho_a, self.rho_b = state.marginal("A"), state.marginal("B")
-        self.eig_a, self.eig_b = linalg.hermitian_eig(self.rho_a), linalg.hermitian_eig(self.rho_b)
+        if state.d_a == state.d_b:
+            self.eig_a, self.eig_b = zip(*linalg.hermitian_eig(np.stack([self.rho_a, self.rho_b])))
+        else:
+            self.eig_a, self.eig_b = linalg.hermitian_eig(self.rho_a), linalg.hermitian_eig(self.rho_b)
         linalg.check_psd(self.eig_a[0])
         linalg.check_psd(self.eig_b[0])
 
@@ -193,8 +197,8 @@ def mu_classical(joint: ClassicalJoint) -> CorrelationReport:
 
 def _center_normalize(op: np.ndarray, marginal: np.ndarray) -> np.ndarray | None:
     """Project out the identity component and scale to unit weighted norm; None if nothing is left."""
-    centered = op - (marginal @ op).trace() * linalg.eye(marginal.shape[0])
-    norm = float(np.sqrt(max(np.real((marginal @ centered @ centered.conj().T).trace()), 0.0)))
+    centered = op - np.vdot(marginal, op) * linalg.eye(marginal.shape[0])  # tr(M O) = vdot(M, O), M hermitian
+    norm = math.sqrt(max(np.vdot(centered, marginal @ centered).real, 0.0))  # tr(M C C^dag) = vdot(C, M C)
     if norm < _ZERO_DIRECTION:
         return None
     return centered / norm
@@ -235,15 +239,22 @@ def _half_step(to: np.ndarray, weight: np.ndarray, v: np.ndarray):
     return u / norm, norm
 
 
+def _objective(state: BipartiteState, x: np.ndarray, y: np.ndarray) -> complex:
+    """tr(rho (X (x) Y^dag)) = sum rho[i, j, k, l] X[k, i] Y[j, l]^*: one contraction of rho's 4-index form."""
+    rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
+    return complex(np.vdot(y, np.tensordot(rho4, x, axes=([2, 0], [0, 1]))))
+
+
+def _hermitian(*ops: np.ndarray) -> bool:
+    """Whether every operator lies within 1e-8 of its adjoint."""
+    return all(float(np.max(np.abs(z - z.conj().T))) < 1e-8 for z in ops)
+
+
 def _pair_stats(state: BipartiteState, sp: _Spectra, x, y, mult: int = 1) -> ObservablePair:
-    """The pair's moments and objective; hermitian when both lie within 1e-8 of their adjoints."""
-    mean_x = complex((sp.rho_a @ x).trace())
-    mean_y = complex((sp.rho_b @ y).trace())
-    m2_x = float(np.real((sp.rho_a @ x @ x.conj().T).trace()))
-    m2_y = float(np.real((sp.rho_b @ y @ y.conj().T).trace()))
-    obj = float(abs((state.rho @ np.kron(x, y.conj().T)).trace()))
-    hermitian = all(float(np.max(np.abs(z - z.conj().T))) < 1e-8 for z in (x, y))
-    return ObservablePair(x, y, mean_x, mean_y, m2_x, m2_y, obj, hermitian, mult)
+    """The pair's moments and objective, by the vdot forms of _center_normalize, and its hermiticity."""
+    mean_x, mean_y = complex(np.vdot(sp.rho_a, x)), complex(np.vdot(sp.rho_b, y))
+    m2_x, m2_y = float(np.vdot(x, sp.rho_a @ x).real), float(np.vdot(y, sp.rho_b @ y).real)
+    return ObservablePair(x, y, mean_x, mean_y, m2_x, m2_y, abs(_objective(state, x, y)), _hermitian(x, y), mult)
 
 
 def mu_variational(
@@ -267,11 +278,15 @@ def mu_variational(
     value found is still returned, flagged as unconverged.
 
     The marginals are taken and checked as in mu_schmidt (_Spectra: both
-    hermitian, then both positive semidefinite).
+    hermitian, then both positive semidefinite). A side of dimension 1 has no
+    feasible observable: the value is then 0.0, converged in 0 iterations,
+    with no witness, as mu_schmidt's mu = 0.
     """
     if restarts < 1 or iters < 1:
         raise RangeError("restarts and iters must be positive")
     sp = _Spectra(state)
+    if min(state.d_a, state.d_b) == 1:
+        return VariationalResult(value=0.0, witness=None, converged=True, iterations=0)
     to_x, weight_a, to_y, weight_b = _folded_maps(state, sp)
     rng = np.random.default_rng(seed)
     best_value, best_pair, best_converged, best_iters = -1.0, None, False, 0
@@ -331,15 +346,15 @@ def extract_witness(state: BipartiteState) -> ObservablePair:
     closed form from the same spectra), when the ceiling is within 1e-8 of the
     objective; that pair is read off the ceiling's own singular vectors.
 
-    One eigendecomposition per marginal (_Spectra: both checked hermitian,
-    then both positive semidefinite, as in mu_schmidt) gives the roots and the
-    ceiling; mu_schmidt(witness=True) passes its own and diagonalizes nothing again.
+    The marginals are diagonalized once (_Spectra, checked as in mu_schmidt) for
+    the roots and the ceiling; mu_schmidt(witness=True) passes its own _Spectra.
     """
     return _witness(state, _Spectra(state))
 
 
 def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair:
-    """extract_witness on spectra already taken."""
+    """extract_witness on spectra already taken: Y's phase (one contraction, _objective), |raw| and the
+    rotated pair's hermiticity choose the deflated pair or the ceiling's, and only that pair is scored."""
     _, inv_a, inv_b, realigned = sp.normalized
     w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
     z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
@@ -348,7 +363,7 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair:
     deflated = realigned - np.outer(w, w.conj() @ realigned)
     deflated = deflated - np.outer(deflated @ z, z.conj())
 
-    u, s, vh = np.linalg.svd(deflated)
+    u, s, vh = np.linalg.svd(deflated, full_matrices=False)
     mu = float(s[0]) if s.size else 0.0
     if mu < 1e-12:
         raise RangeError("witness is undefined when the maximal correlation vanishes")
@@ -360,19 +375,17 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair:
     y = _center_normalize(inv_b @ n2, sp.rho_b)
 
     # Rotate Y's phase so the raw objective is real positive.
-    raw = (state.rho @ np.kron(x, y.conj().T)).trace()
+    raw = _objective(state, x, y)
     if abs(raw) > 0.0:
         y = y * np.exp(1j * np.angle(raw))
 
-    pair = _pair_stats(state, sp, x, y, mult)
-
-    if not pair.hermitian:
+    if not _hermitian(x, y):
         ceiling, hx, hy = _hermitian_ceiling(state, sp)
-        if ceiling >= pair.objective - 1e-8:
+        if ceiling >= abs(raw) - 1e-8:
             hx, hy = _center_normalize(hx, sp.rho_a), _center_normalize(hy, sp.rho_b)
             if hx is not None and hy is not None:
-                return _pair_stats(state, sp, hx, hy, mult)
-    return pair
+                x, y = hx, hy
+    return _pair_stats(state, sp, x, y, mult)
 
 
 def _pair_sums(w: np.ndarray):

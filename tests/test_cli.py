@@ -62,6 +62,17 @@ def test_mu_oracle_agreement(tmp_path, capsys):
     assert rep["results"]["oracle"]["agrees"] is True
 
 
+@pytest.mark.parametrize("dims", [("1", "1"), ("1", "2"), ("2", "1"), ("1", "4"), ("4", "1")])
+def test_mu_oracle_on_a_side_of_dimension_one_reports_zero(tmp_path, capsys, dims):
+    path = str(tmp_path / "st.json")
+    report(capsys, "gen", "random", "--da", dims[0], "--db", dims[1], "--seed", "1", "-o", path)
+    code, rep = report(capsys, "mu", path, "--oracle")
+    assert code == 0
+    assert rep["results"]["mu"] == 0.0
+    assert rep["results"]["oracle"] == {"value": 0.0, "gap": 0.0, "converged": True, "agrees": True}
+    assert rep["warnings"] == []
+
+
 def test_reports_are_deterministic_apart_from_timing(tmp_path, capsys):
     path = str(tmp_path / "st.json")
     report(capsys, "gen", "random", "--da", "2", "--db", "2", "--seed", "9", "-o", path)

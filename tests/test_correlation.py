@@ -142,6 +142,25 @@ def test_variational_on_product_state_returns_zero():
     assert res.converged
 
 
+@pytest.mark.parametrize("d_a,d_b", [(1, 1), (1, 2), (2, 1), (1, 4), (4, 1)])
+def test_variational_on_a_side_of_dimension_one_has_no_feasible_pair(d_a, d_b):
+    st = mc.random_density(d_a, d_b, seed=1)
+    res = mc.mu_variational(st, restarts=2, seed=0)
+    assert (res.value, res.converged, res.iterations, res.witness) == (0.0, True, 0, None)
+    assert mc.mu_schmidt(st).mu == 0.0
+
+
+@pytest.mark.parametrize("d_a,d_b", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)])
+def test_objective_matches_the_kron_form(d_a, d_b):
+    rng = np.random.default_rng(10 * d_a + d_b)
+    st = mc.random_density(d_a, d_b, seed=d_a * d_b)
+    for _ in range(4):
+        x = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
+        y = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
+        want = (st.rho @ np.kron(x, y.conj().T)).trace()
+        assert abs(correlation._objective(st, x, y) - want) < 1e-14
+
+
 def test_variational_rejects_bad_budgets():
     st = mc.isotropic(0.5)
     with pytest.raises(RangeError):

@@ -1,6 +1,7 @@
 """Property tests of mu, the hermitian ceiling and the variational oracle over
-every dims pair 2x2-4x4, of mu on product states from 1x1 up, of the
-certified two-qubit bracket and of the two-qubit product ensemble.
+every dims pair 2x2-4x4, of mu on product states from 1x1 up, of the data
+processing inequality and tensor max of mu from 1x1 up, of the certified
+two-qubit bracket and of the two-qubit product ensemble.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -19,6 +20,7 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 dims = st.integers(2, 4)
 seeds = st.integers(0, 2**32 - 1)
+factor_splits = st.sampled_from([(d1, d2) for d1 in range(1, 5) for d2 in range(1, 5) if d1 * d2 <= 4])
 
 
 @st.composite
@@ -26,6 +28,27 @@ def mixed_states(draw):
     d_a, d_b = draw(dims), draw(dims)
     rank = draw(st.integers(1, d_a * d_b))
     return mc.random_density(d_a, d_b, rank=rank, seed=draw(seeds))
+
+
+@st.composite
+def states_and_local_channels(draw):
+    """A state on any dims pair up to 4x4 and a random channel on one side with output dimension 1-4."""
+    d_a, d_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    state = mc.random_density(d_a, d_b, rank=draw(st.integers(1, d_a * d_b)), seed=draw(seeds))
+    side = draw(st.sampled_from("AB"))
+    d_in, d_out = (d_a if side == "A" else d_b), draw(st.integers(1, 4))
+    kraus_rank = draw(st.integers(-(-d_in // d_out), 4))
+    return state, mc.random_channel(d_in, d_out, kraus_rank, seed=draw(seeds), side=side)
+
+
+@st.composite
+def tensor_factors(draw):
+    """Two states whose tensor product stays within 4x4 on each side."""
+    (a1, a2), (b1, b2) = draw(factor_splits), draw(factor_splits)
+    return tuple(
+        mc.random_density(d_a, d_b, rank=draw(st.integers(1, d_a * d_b)), seed=draw(seeds))
+        for d_a, d_b in ((a1, b1), (a2, b2))
+    )
 
 
 @st.composite
@@ -68,6 +91,21 @@ def test_ceiling_is_one_on_pure_entangled_states(d_a, d_b, seed):
     witness = mc.extract_witness(state)
     assert witness.hermitian
     assert abs(witness.objective - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(states_and_local_channels())
+def test_mu_obeys_data_processing(pair):
+    state, channel = pair
+    assert mc.mu_schmidt(mc.apply_local(state, channel)).mu <= mc.mu_schmidt(state).mu + 1e-7
+
+
+@PROPERTY
+@given(tensor_factors())
+def test_mu_of_a_tensor_product_is_the_larger_mu(factors):
+    r, s = factors
+    joint = mc.mu_schmidt(mc.tensor_bipartite(r, s)).mu
+    assert abs(joint - max(mc.mu_schmidt(r).mu, mc.mu_schmidt(s).mu)) <= 1e-9
 
 
 @PROPERTY
