@@ -92,19 +92,16 @@ class VariationalResult:
 class _Spectra:
     """A state's two marginals, checked and diagonalized once, and what derives from them.
 
-    Both marginals are checked hermitian (linalg.hermitian_eig, one call on both
-    when d_a == d_b), then both positive semidefinite, so every entry point
-    raises the same error on the same input. The normalized form is built on
-    first use: the oracle reads only the eigenpairs and never pays for it.
+    Both marginals are checked hermitian (linalg.hermitian_eig), then both
+    positive semidefinite, so every entry point raises the same error on the
+    same input. The normalized form is built on first use: the oracle reads
+    only the eigenpairs and never pays for it.
     """
 
     def __init__(self, state: BipartiteState):
         self.state = state
         self.rho_a, self.rho_b = state.marginal("A"), state.marginal("B")
-        if state.d_a == state.d_b:
-            self.eig_a, self.eig_b = zip(*linalg.hermitian_eig(np.stack([self.rho_a, self.rho_b])))
-        else:
-            self.eig_a, self.eig_b = linalg.hermitian_eig(self.rho_a), linalg.hermitian_eig(self.rho_b)
+        self.eig_a, self.eig_b = linalg.hermitian_eig(self.rho_a), linalg.hermitian_eig(self.rho_b)
         linalg.check_psd(self.eig_a[0])
         linalg.check_psd(self.eig_b[0])
 

@@ -73,22 +73,20 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(m: np.ndarray):
-    """Eigendecomposition of a hermitian matrix, or of each matrix in a (k, d, d) stack.
+    """Eigendecomposition of a hermitian matrix.
 
     Returns (w, v) with eigenvalues w sorted descending and eigenvectors in
-    the matching columns of v. One adjoint serves the check, deviations beyond
-    HERMITICITY_TOL (the largest in a stack) raise NotHermitianError, and the
-    symmetrization before the solve, (m + adj) / 2 with hermitian_part's bits.
+    the matching columns of v. The input is symmetrized before the solve;
+    deviations from the adjoint beyond HERMITICITY_TOL raise NotHermitianError.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    adj = m.conj().swapaxes(-1, -2)
-    dev = np.abs(m - adj).max() if m.size else 0.0
+    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if dev > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix deviates from its adjoint by {dev:.3e}")
-    w, v = np.linalg.eigh((m + adj) / 2.0)
-    return w[..., ::-1].copy(), v[..., ::-1].copy()
+    w, v = np.linalg.eigh(hermitian_part(m))
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

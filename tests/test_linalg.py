@@ -30,23 +30,6 @@ def test_hermitian_eig_rejects_nonhermitian():
         linalg.hermitian_eig(m)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_hermitian_eig_on_a_stack_gives_each_matrix_its_own_bits(d):
-    rng = np.random.default_rng(d)
-    stack = np.stack([random_psd(rng, d, rank=r) for r in range(1, d + 1)])
-    w, v = linalg.hermitian_eig(stack)
-    for m, w_k, v_k in zip(stack, w, v, strict=True):
-        w_one, v_one = linalg.hermitian_eig(m)
-        assert w_k.tobytes() == w_one.tobytes() and v_k.tobytes() == v_one.tobytes()
-
-
-def test_hermitian_eig_rejects_a_stack_with_one_nonhermitian_matrix():
-    rng = np.random.default_rng(4)
-    stack = np.stack([random_psd(rng, 2), np.array([[0.0, 1e-6], [0.0, 0.0]]), random_psd(rng, 2)])
-    with pytest.raises(NotHermitianError):
-        linalg.hermitian_eig(stack)
-
-
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(7)
     for _ in range(10):
