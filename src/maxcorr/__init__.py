@@ -10,10 +10,12 @@ from .correlation import (
     mu_variational,
 )
 from .entanglement import (
+    Bracket,
     Decomposition,
     IsotropicBounds,
     PptReport,
     bell_fidelity,
+    bracket,
     decomposition_search,
     fidelity_mu_lower_bound,
     lambda_bounds,

@@ -39,12 +39,10 @@ from .defaults import (
     TRIALS,
 )
 from .entanglement import (
-    _component_mus,
     _isotropic_noise,
     _twirl_noise,
     bell_fidelity,
-    decomposition_search,
-    fidelity_mu_lower_bound,
+    bracket,
     lambda_bounds,
     mu_ent_upper,
     ppt_check,
@@ -254,42 +252,28 @@ def cmd_mu_classical(args) -> tuple:
 
 def cmd_ment(args) -> tuple:
     state = read_state_file(args.state)
-    warnings = []
-    violation = False
-
-    plain = mu_schmidt(state)
-    dec = decomposition_search(
-        state, k=args.k, restarts=args.restarts, iters=args.iters, seed=args.seed
-    )
-    comp_mus = _component_mus(dec)
-    upper = float(np.max(comp_mus))
+    b = bracket(state, k=args.k, restarts=args.restarts, iters=args.iters, seed=args.seed)
     results = {
-        "mu": plain.mu,
-        "upper_bound": upper,
+        "mu": mu_schmidt(state).mu,
+        "lower_bound": b.lower,
+        "upper_bound": b.upper,
         "decomposition": {
-            "size": len(dec.components),
-            "weights": dec.weights,
-            "component_mu": comp_mus,
-            "residual": dec.residual(),
+            "size": len(b.decomposition.components),
+            "weights": b.decomposition.weights,
+            "component_mu": b.component_mu,
+            "residual": b.decomposition.residual(),
         },
     }
-
     if (state.d_a, state.d_b) == (2, 2):
-        lower = fidelity_mu_lower_bound(state)
-        results["lower_bound"] = lower
         results["bell_fidelity"] = bell_fidelity(state)
         results["ppt"] = asdict(ppt_check(state))
-        if upper < lower - 1e-8:
-            warnings.append(
-                f"certified bounds crossed: upper {upper!r} below lower {lower!r}"
-            )
-            violation = True
         delta = _isotropic_noise(state)
         if delta is not None:
             results["isotropic"] = asdict(lambda_bounds(delta)) if delta <= 1.0 else {"epsilon": delta}
-    else:
-        results["lower_bound"] = 0.0
-    return _file_inputs(args.state), args.seed, results, warnings, violation
+    warnings = []
+    if b.upper < b.lower - 1e-8:
+        warnings.append(f"certified bounds crossed: upper {b.upper!r} below lower {b.lower!r}")
+    return _file_inputs(args.state), args.seed, results, warnings, bool(warnings)
 
 
 def cmd_iso_bounds(args) -> tuple:

@@ -122,7 +122,7 @@ def mu_schmidt(state: BipartiteState, witness: bool = False) -> CorrelationRepor
     Realigns the marginal-normalized form of the state and reads the second
     singular value. The leading value equals 1 up to numerical error for any
     valid state; its deviation is reported and warned about beyond 1e-6.
-    When witness is true the maximizing observable pair is attached.
+    When witness is true the maximizing observable pair is attached, None when mu vanishes.
 
     One eigendecomposition per marginal (_Spectra: both checked hermitian,
     then both positive semidefinite) gives the ranks, the normalized form and
@@ -346,12 +346,14 @@ def extract_witness(state: BipartiteState) -> ObservablePair:
     The marginals are diagonalized once (_Spectra, checked as in mu_schmidt) for
     the roots and the ceiling; mu_schmidt(witness=True) passes its own _Spectra.
     """
-    return _witness(state, _Spectra(state))
+    if (pair := _witness(state, _Spectra(state))) is None:
+        raise RangeError("witness is undefined when the maximal correlation vanishes")
+    return pair
 
 
-def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair:
-    """extract_witness on spectra already taken: Y's phase (one contraction, _objective), |raw| and the
-    rotated pair's hermiticity choose the deflated pair or the ceiling's, and only that pair is scored."""
+def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
+    """extract_witness on spectra already taken, or None when mu vanishes: Y's phase (_objective), |raw|
+    and the rotated pair's hermiticity choose the deflated pair or the ceiling's; only that one is scored."""
     _, inv_a, inv_b, realigned = sp.normalized
     w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
     z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
@@ -363,7 +365,7 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair:
     u, s, vh = np.linalg.svd(deflated, full_matrices=False)
     mu = float(s[0]) if s.size else 0.0
     if mu < 1e-12:
-        raise RangeError("witness is undefined when the maximal correlation vanishes")
+        return None
     mult = int(np.sum(s >= mu - _DEGENERACY_TOL))
 
     m2 = u[:, 0].reshape(state.d_a, state.d_a)

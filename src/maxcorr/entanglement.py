@@ -13,12 +13,12 @@ are out of reach in general, so everything here produces certified bounds:
   turns separable at eps >= 2/3, where the closed-form product ensemble
   gives an explicit decomposition into at most four pure product states.
 
-decomposition_search is a heuristic: it parametrizes decompositions by POVMs
-(so every iterate reconstructs the target identically) and locally minimizes
-the worst component correlation, after trying the trivial decomposition and
-the closed-form product ensemble, which handles every separable two-qubit
-target exactly. Whatever it returns is a valid decomposition, so its bound is
-certified even when the search is far from optimal.
+bracket is the one place that assembles these sources into lower <= mu_ent <=
+upper. Its upper end is a heuristic search over decompositions parametrized
+by POVMs (every iterate rebuilds the target identically), after the trivial
+decomposition and the closed-form product ensemble, which handles every
+separable two-qubit target exactly. Its decomposition is always valid, so the
+bound holds even when the search is far from optimal.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
 from .states import BipartiteState, _bell_vector, _noisy_bell, isotropic, validate
 
 __all__ = [
+    "Bracket",
     "Decomposition",
     "IsotropicBounds",
     "PptReport",
@@ -52,12 +53,13 @@ __all__ = [
     "lambda_bounds",
     "ppt_check",
     "random_povm_decomposition",
+    "bracket",
     "decomposition_search",
 ]
 
 _WEIGHT_FLOOR = 1e-12
 _FLOOR = 1e-8
-"""Certified bound at or below which decomposition_search starts no further restart."""
+"""Certified bound at or below which bracket starts no further restart."""
 _TAKAGI_CUT = 1e-9
 """Relative eigenvalue below which _takagi_symmetric treats a Takagi value as zero."""
 
@@ -97,6 +99,16 @@ class Decomposition:
         for w, c in zip(self.weights, self.components):
             acc += w * c.rho
         return float(np.max(np.abs(acc - self.target.rho)))
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """Certified lower <= mu_ent <= upper; upper is the worst component_mu of the decomposition."""
+
+    lower: float
+    upper: float
+    decomposition: Decomposition
+    component_mu: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -495,6 +507,50 @@ def random_povm_decomposition(target: BipartiteState, k: int = 4, seed: int = 0)
     return objective.decomposition(_random_blocks(rng, target.dim, k))
 
 
+def bracket(
+    target: BipartiteState,
+    k: int = COMPONENTS,
+    restarts: int = RESTARTS,
+    iters: int = SEARCH_ITERS,
+    seed: int = 0,
+) -> Bracket:
+    """Certified bracket lower <= mu_ent(target) <= upper.
+
+    lower is fidelity_mu_lower_bound for two qubits and 0.0 otherwise. upper
+    comes from a heuristic search for a decomposition with small
+    worst-component correlation. Two structured candidates are tried first:
+    the trivial one-component decomposition, and the closed-form product
+    ensemble for two-qubit targets whose spin-flip spectrum permits one (every
+    separable one). Random starts of a local derivative-free descent then run,
+    but only while the best certified bound stays above _FLOOR, which further
+    local search cannot meaningfully beat. The descent minimizes a soft-max of
+    the component correlations whose temperature anneals toward the true worst
+    value. Each of its ceil(iters / 2) steps draws two proposals (the last
+    step one, when iters is odd), each perturbing the worst kept block half
+    the time and a random block otherwise, scores them in one stacked
+    evaluate, and accepts the better one only if it improves on the current
+    point; the step size adapts per step by the factors of two single
+    proposals. Each candidate is scored once (_component_mus, which validates
+    it) and the winner keeps its scores. The decomposition is always valid, so
+    the bound it certifies holds no matter how well the search did.
+    """
+    objective = _PovmObjective(target, k)
+    if restarts < 0 or iters < 0:
+        raise RangeError("restarts and iters must be nonnegative")
+    rng = np.random.default_rng(seed)
+    best, best_mus, best_value = None, None, math.inf
+    trivial = Decomposition(target=target, weights=np.array([1.0]), components=(target,))
+    # Restarts are drawn lazily: each starts only while the best bound is above _FLOOR.
+    restarted = (_search_once(objective, iters, rng) for _ in range(restarts) if best_value > _FLOOR)
+    for candidate in filter(None, itertools.chain([trivial, _product_ensemble_candidate(target)], restarted)):
+        mus = _component_mus(candidate)
+        value = float(np.max(mus))
+        if value < best_value:
+            best, best_mus, best_value = candidate, mus, value
+    lower = fidelity_mu_lower_bound(target) if (target.d_a, target.d_b) == (2, 2) else 0.0
+    return Bracket(lower=lower, upper=best_value, decomposition=best, component_mu=best_mus)
+
+
 def decomposition_search(
     target: BipartiteState,
     k: int = COMPONENTS,
@@ -502,33 +558,5 @@ def decomposition_search(
     iters: int = SEARCH_ITERS,
     seed: int = 0,
 ) -> Decomposition:
-    """Heuristic search for a decomposition with small worst-component correlation.
-
-    Two structured candidates are tried first: the trivial one-component
-    decomposition, and the closed-form product ensemble for two-qubit
-    targets whose spin-flip spectrum permits one (every separable one).
-    Random starts of a local derivative-free descent then run, but only while
-    the best certified bound stays above _FLOOR, which further local search
-    cannot meaningfully beat. The descent minimizes a soft-max of the
-    component correlations whose temperature anneals toward the true worst
-    value. Each of its ceil(iters / 2) steps draws two proposals (the last
-    step one, when iters is odd), each perturbing the worst kept block half
-    the time and a random block otherwise, scores them in one stacked
-    evaluate, and accepts the better one only if it improves on the current
-    point; the step size adapts per step by the factors of two single
-    proposals. The result is always a valid decomposition, so the bound it
-    certifies holds no matter how well the search did.
-    """
-    objective = _PovmObjective(target, k)
-    if restarts < 0 or iters < 0:
-        raise RangeError("restarts and iters must be nonnegative")
-    rng = np.random.default_rng(seed)
-    best, best_value = None, math.inf
-    trivial = Decomposition(target=target, weights=np.array([1.0]), components=(target,))
-    # Restarts are drawn lazily: each starts only while the best bound is above _FLOOR.
-    restarted = (_search_once(objective, iters, rng) for _ in range(restarts) if best_value > _FLOOR)
-    for candidate in itertools.chain([trivial, _product_ensemble_candidate(target)], restarted):
-        value = math.inf if candidate is None else mu_ent_upper(candidate)
-        if value < best_value:
-            best, best_value = candidate, value
-    return best
+    """The decomposition that certifies bracket's upper end (same arguments, bits and errors)."""
+    return bracket(target, k=k, restarts=restarts, iters=iters, seed=seed).decomposition

@@ -73,6 +73,22 @@ def test_mu_oracle_on_a_side_of_dimension_one_reports_zero(tmp_path, capsys, dim
     assert rep["warnings"] == []
 
 
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["witness", "witness-oracle"])
+@pytest.mark.parametrize("state", ["2x1", "1x3", "product-2x2"])
+def test_mu_witness_at_zero_correlation_reports_no_witness(tmp_path, capsys, state, oracle):
+    path = str(tmp_path / "st.json")
+    if state == "product-2x2":
+        write_state_file(path, mc.random_product(2, 2, seed=3))
+    else:
+        report(capsys, "gen", "random", "--da", state[0], "--db", state[2], "--seed", "1", "-o", path)
+    code, rep = report(capsys, "mu", path, "--witness", *oracle)
+    assert code == 0
+    assert rep["results"]["mu"] < 1e-12
+    assert "witness" not in rep["results"]
+    if oracle:
+        assert rep["results"]["oracle"]["agrees"] is True
+
+
 def test_reports_are_deterministic_apart_from_timing(tmp_path, capsys):
     path = str(tmp_path / "st.json")
     report(capsys, "gen", "random", "--da", "2", "--db", "2", "--seed", "9", "-o", path)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,40 @@ def test_search_never_beats_certified_lower_bound():
         bound = mc.mu_ent_upper(dec)
         assert bound >= 1.0 - 1.5 * eps - 1e-6
         assert bound <= mc.mu_schmidt(st).mu + 1e-10
+
+
+BRACKET_TARGETS = {
+    "random-2x2": lambda: mc.random_density(2, 2, seed=11),
+    "random-2x3": lambda: mc.random_density(2, 3, seed=12),
+    "random-3x3": lambda: mc.random_density(3, 3, seed=13),
+    "isotropic-0.7": lambda: mc.isotropic(0.7),  # certified by the product ensemble
+    "pure-2x2": lambda: mc.random_pure(2, 2, seed=14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_TARGETS))
+def test_bracket_holds_the_search_certificate_and_its_scores(name):
+    st = BRACKET_TARGETS[name]()
+    budget = {"k": 4, "restarts": 1, "iters": 40, "seed": 2}
+    b = mc.bracket(st, **budget)
+    dec = mc.decomposition_search(st, **budget)
+    assert np.array_equal(b.decomposition.weights, dec.weights)
+    assert len(b.decomposition.components) == len(dec.components)
+    for got, want in zip(b.decomposition.components, dec.components):
+        assert np.array_equal(got.rho, want.rho)
+    assert b.upper == mc.mu_ent_upper(b.decomposition)
+    assert np.array_equal(b.component_mu, entanglement._component_mus(b.decomposition))
+    assert b.lower == (mc.fidelity_mu_lower_bound(st) if (st.d_a, st.d_b) == (2, 2) else 0.0)
+
+
+def test_bracket_record_has_four_fields():
+    assert [f.name for f in fields(mc.Bracket)] == ["lower", "upper", "decomposition", "component_mu"]
+
+
+@pytest.mark.parametrize("budget", [{"k": 0}, {"restarts": -1}, {"iters": -1}], ids=["k", "restarts", "iters"])
+def test_bracket_budget_domain(budget):
+    with pytest.raises(RangeError):
+        mc.bracket(mc.isotropic(0.5), **budget)
 
 
 def test_search_output_is_always_a_valid_certificate():

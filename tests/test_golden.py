@@ -29,6 +29,7 @@ CASES = {
     "suite-ment-tensor": ["suite", "ment-tensor", "--trials", "12", "--seed", "1", "--dims", "2x3"],
     "ment-random22": ["ment", "random22.json", "--restarts", "1", "--iters", "120", "--seed", "0"],
     "ment-iso02": ["ment", "iso02.json", "--restarts", "1", "--iters", "40", "--seed", "0"],
+    "ment-random23": ["ment", "random23.json", "--restarts", "1", "--iters", "40", "--seed", "0"],
     "twirl-random22": ["twirl", "random22.json"],
     "ppt-random22": ["ppt", "random22.json"],
     "iso-bounds-0.4": ["iso-bounds", "--epsilon", "0.4"],

@@ -199,7 +199,6 @@ def test_mu_schmidt_is_bit_identical_to_kron_loop(d_a, d_b):
     from dataclasses import fields
 
     from maxcorr.correlation import extract_witness, mu_schmidt
-    from maxcorr.errors import RangeError
 
     n = d_a * d_b
     for rank in range(1, n + 1):
@@ -210,8 +209,7 @@ def test_mu_schmidt_is_bit_identical_to_kron_loop(d_a, d_b):
             if seed:
                 continue
             if rep.mu < 1e-12:
-                with pytest.raises(RangeError):
-                    mu_schmidt(st, witness=True)
+                assert mu_schmidt(st, witness=True).witness is None
                 continue
             got, want = mu_schmidt(st, witness=True).witness, extract_witness(st)
             for f in fields(want):

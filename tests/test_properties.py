@@ -1,7 +1,8 @@
 """Property tests of mu, the hermitian ceiling and the variational oracle over
 every dims pair 2x2-4x4, of mu on product states from 1x1 up, of the data
 processing inequality and tensor max of mu from 1x1 up, of the certified
-two-qubit bracket and of the two-qubit product ensemble.
+bracket (on two qubits against the search, and from 1x1 up with no restart)
+and of the two-qubit product ensemble.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -24,8 +25,8 @@ factor_splits = st.sampled_from([(d1, d2) for d1 in range(1, 5) for d2 in range(
 
 
 @st.composite
-def mixed_states(draw):
-    d_a, d_b = draw(dims), draw(dims)
+def mixed_states(draw, sides=dims):
+    d_a, d_b = draw(sides), draw(sides)
     rank = draw(st.integers(1, d_a * d_b))
     return mc.random_density(d_a, d_b, rank=rank, seed=draw(seeds))
 
@@ -124,6 +125,15 @@ def test_product_states_have_zero_mu(seed):
 def test_fidelity_lower_bound_stays_below_search_certificate(state):
     dec = mc.decomposition_search(state, restarts=0)
     assert mc.fidelity_mu_lower_bound(state) <= mc.mu_ent_upper(dec) + 1e-9
+
+
+@PROPERTY
+@given(mixed_states(st.integers(1, 4)))
+def test_bracket_lower_stays_below_upper_and_upper_below_mu(state):
+    # The trivial candidate scores mu_schmidt's mu to the last bit, so the second bound is exact.
+    b = mc.bracket(state, restarts=0)
+    assert b.lower <= b.upper + 1e-9
+    assert b.upper <= mc.mu_schmidt(state).mu
 
 
 @PROPERTY

@@ -36,3 +36,10 @@ def tolerance_parameters(module):
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_no_function_takes_a_tolerance(module):
     assert tolerance_parameters(module) == []
+
+
+def test_decomposition_search_takes_exactly_the_parameters_of_bracket():
+    def params(f):
+        return [(p.name, p.default) for p in inspect.signature(f).parameters.values()]
+
+    assert params(entanglement.decomposition_search) == params(entanglement.bracket)
