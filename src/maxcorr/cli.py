@@ -155,6 +155,9 @@ def write_joint_csv(path: str, joint: ClassicalJoint) -> None:
 
 
 def read_joint_csv(path: str) -> ClassicalJoint:
+    with open(path, "rb") as fh:
+        if not fh.read().strip():  # loadtxt would warn and return a (0, 1) table
+            raise ParseError(f"{path}: empty table")
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:

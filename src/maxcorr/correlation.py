@@ -15,8 +15,9 @@ cross-checks the spectral route independently.
 
 Each entry point takes, checks and diagonalizes both marginals exactly once
 (_Spectra) and derives ranks, (pseudo-inverse) square roots, the folded maps
-and the hermitian witness from those eigenpairs. The witness chooses its pair
-before it builds one, so exactly one ObservablePair is scored per witness.
+and the hermitian witness from those eigenpairs. The witness scores exactly one
+ObservablePair and builds the hermitian ceiling only when a closed-form bound
+says it may come within 1e-8 of mu, so never on a generic mixed state.
 """
 
 from __future__ import annotations
@@ -247,11 +248,11 @@ def _hermitian(*ops: np.ndarray) -> bool:
     return all(float(np.max(np.abs(z - z.conj().T))) < 1e-8 for z in ops)
 
 
-def _pair_stats(state: BipartiteState, sp: _Spectra, x, y, mult: int = 1) -> ObservablePair:
-    """The pair's moments and objective, by the vdot forms of _center_normalize, and its hermiticity."""
+def _pair_stats(state: BipartiteState, sp: _Spectra, x, y, hermitian: bool, mult: int = 1) -> ObservablePair:
+    """The pair's moments and objective, by the vdot forms of _center_normalize; hermitian is _hermitian(x, y)."""
     mean_x, mean_y = complex(np.vdot(sp.rho_a, x)), complex(np.vdot(sp.rho_b, y))
     m2_x, m2_y = float(np.vdot(x, sp.rho_a @ x).real), float(np.vdot(y, sp.rho_b @ y).real)
-    return ObservablePair(x, y, mean_x, mean_y, m2_x, m2_y, abs(_objective(state, x, y)), _hermitian(x, y), mult)
+    return ObservablePair(x, y, mean_x, mean_y, m2_x, m2_y, abs(_objective(state, x, y)), hermitian, mult)
 
 
 def mu_variational(
@@ -315,7 +316,7 @@ def mu_variational(
         # feasible pair built from any centered direction.
         best_pair = (_random_observable(sp.rho_a, rng), _random_observable(sp.rho_b, rng))
         best_converged, best_iters = True, 0
-    pair = _pair_stats(state, sp, *best_pair)
+    pair = _pair_stats(state, sp, *best_pair, _hermitian(*best_pair))
     return VariationalResult(value=pair.objective, witness=pair, converged=best_converged, iterations=best_iters)
 
 
@@ -341,7 +342,9 @@ def extract_witness(state: BipartiteState) -> ObservablePair:
     recorded. A pair that is not hermitian is replaced by the maximizer of the
     hermitian ceiling, the largest objective of any feasible hermitian pair (a
     closed form from the same spectra), when the ceiling is within 1e-8 of the
-    objective; that pair is read off the ceiling's own singular vectors.
+    objective; that pair is read off the ceiling's own singular vectors. The
+    ceiling is built only when a closed-form bound from the deflated pair says
+    it may come that close, so never on a generic mixed state.
 
     The marginals are diagonalized once (_Spectra, checked as in mu_schmidt) for
     the roots and the ceiling; mu_schmidt(witness=True) passes its own _Spectra.
@@ -353,38 +356,53 @@ def extract_witness(state: BipartiteState) -> ObservablePair:
 
 def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
     """extract_witness on spectra already taken, or None when mu vanishes: Y's phase (_objective), |raw|
-    and the rotated pair's hermiticity choose the deflated pair or the ceiling's; only that one is scored."""
+    and the rotated pair's hermiticity choose the deflated pair or the ceiling's; only that one is scored.
+
+    The ceiling is built only if _ceiling_bound(sp, x, y, s) + 1e-12 >= |raw| - 1e-8. Whitened in <X, Z>_A =
+    tr(rho_A X Z^dag), a unit a = alpha u0 + a_perp (u0 the deflated top vector, x) has |a^dag D b| <= mu |alpha|
+    |beta| + s1 sqrt((1 - |alpha|^2)(1 - |beta|^2)) <= sqrt(mu^2 - (mu^2 - s1^2)(1 - |alpha|^2)), s1 = s[1]. A
+    hermitian a has 1 - |alpha|^2 = min_c ||x - c a||^2 >= eta_A(x) = sum k_ij |t_ij|^2 - |sum k_ij t_ij t_ji|,
+    the squared distance from {e^{i phi} x} to the hermitian matrices (zero mean dropped): t = V^dag x V in rho_A's
+    eigenbasis, a_i its eigenvalues clipped at 0, k_ij = a_i a_j / (a_i + a_j) (0 if both are 0). Likewise on B.
+    """
     _, inv_a, inv_b, realigned = sp.normalized
     w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
     z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
-    w = w / np.linalg.norm(w)
-    z = z / np.linalg.norm(z)
+    w, z = w / np.linalg.norm(w), z / np.linalg.norm(z)
     deflated = realigned - np.outer(w, w.conj() @ realigned)
     deflated = deflated - np.outer(deflated @ z, z.conj())
 
     u, s, vh = np.linalg.svd(deflated, full_matrices=False)
-    mu = float(s[0]) if s.size else 0.0
-    if mu < 1e-12:
+    if not s.size or s[0] < 1e-12:
         return None
-    mult = int(np.sum(s >= mu - _DEGENERACY_TOL))
-
-    m2 = u[:, 0].reshape(state.d_a, state.d_a)
-    n2 = vh[0, :].reshape(state.d_b, state.d_b)
-    x = _center_normalize(inv_a @ m2.conj().T, sp.rho_a)
-    y = _center_normalize(inv_b @ n2, sp.rho_b)
+    mult = int(np.sum(s >= s[0] - _DEGENERACY_TOL))
+    x = _center_normalize(inv_a @ u[:, 0].reshape(state.d_a, state.d_a).conj().T, sp.rho_a)
+    y = _center_normalize(inv_b @ vh[0, :].reshape(state.d_b, state.d_b), sp.rho_b)
 
     # Rotate Y's phase so the raw objective is real positive.
     raw = _objective(state, x, y)
     if abs(raw) > 0.0:
         y = y * np.exp(1j * np.angle(raw))
 
-    if not _hermitian(x, y):
+    if not (hermitian := _hermitian(x, y)) and _ceiling_bound(sp, x, y, s) + 1e-12 >= abs(raw) - 1e-8:
         ceiling, hx, hy = _hermitian_ceiling(state, sp)
         if ceiling >= abs(raw) - 1e-8:
             hx, hy = _center_normalize(hx, sp.rho_a), _center_normalize(hy, sp.rho_b)
             if hx is not None and hy is not None:
-                x, y = hx, hy
-    return _pair_stats(state, sp, x, y, mult)
+                x, y, hermitian = hx, hy, _hermitian(hx, hy)
+    return _pair_stats(state, sp, x, y, hermitian, mult)
+
+
+def _ceiling_bound(sp: _Spectra, x: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
+    """sqrt(mu^2 - (mu^2 - s1^2) max(eta_A(x), eta_B(y))) >= _hermitian_ceiling for _witness's (x, y, s)."""
+    eta = 0.0
+    for op, (w, v) in ((x, sp.eig_a), (y, sp.eig_b)):
+        a = np.maximum(w, 0.0)
+        t = v.conj().T @ op @ v
+        kt = np.outer(a, a) / np.maximum(a[:, None] + a, 1e-300) * t  # 0 where a_i = a_j = 0
+        eta = max(eta, float(np.vdot(t, kt).real - abs((kt * t.T).sum())))
+    mu, s1 = float(s[0]), float(s[1]) if s.size > 1 else 0.0
+    return math.sqrt(max(mu * mu - (mu * mu - s1 * s1) * eta, 0.0))
 
 
 def _pair_sums(w: np.ndarray):

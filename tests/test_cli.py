@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,18 @@ def test_mu_classical_rejects_bad_table(tmp_path, capsys):
     code, out, err = run(capsys, "mu-classical", path)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"])
+def test_mu_classical_reports_an_empty_table_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "mu-classical", str(path))
+    assert (code, out, caught) == (2, "", [])
+    assert err.splitlines() == [f"error: {path}: empty table"]
+    assert "Warning" not in err
 
 
 def test_ment_detects_separable_family_member(tmp_path, capsys):

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import maxcorr as mc
 from maxcorr import correlation, linalg
+from maxcorr.cli import read_state_file
 from maxcorr.defaults import RANK_TOL
 from maxcorr.errors import NegativeEigenvalueError, NotHermitianError, RangeError
 
@@ -410,3 +413,27 @@ def test_hermitian_ceiling_gate_is_sound(d_a, d_b):
             assert max(abs(w.second_moment_x - 1.0), abs(w.second_moment_y - 1.0)) < 1e-12
             assert max(np.abs(w.x - w.x.conj().T).max(), np.abs(w.y - w.y.conj().T).max()) < 1e-12
             assert abs(w.objective - hermitian_ceiling(st)) < 1e-12
+
+
+def counted_ceiling(monkeypatch):
+    """Route correlation._hermitian_ceiling through a call counter; returns the list it appends to."""
+    calls, ceiling = [], correlation._hermitian_ceiling
+    monkeypatch.setattr(correlation, "_hermitian_ceiling", lambda *a: calls.append(a) or ceiling(*a))
+    return calls
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_ceiling_is_never_built_on_full_rank_random_witnesses(monkeypatch, d_a, d_b):
+    calls = counted_ceiling(monkeypatch)
+    for seed in range(3):
+        assert not mc.mu_schmidt(mc.random_density(d_a, d_b, seed=seed), witness=True).witness.hermitian
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["pure23", "random33r2"])
+def test_ceiling_is_built_where_the_bound_cannot_exclude_it(monkeypatch, name):
+    # pure23: the ceiling wins; random33r2 (second multiplicity 2): it is built and loses.
+    calls = counted_ceiling(monkeypatch)
+    mc.extract_witness(read_state_file(str(Path(__file__).parent / "data" / "golden" / f"{name}.json")))
+    assert len(calls) >= 1

@@ -1,8 +1,8 @@
-"""Property tests of mu, the hermitian ceiling and the variational oracle over
-every dims pair 2x2-4x4, of mu on product states from 1x1 up, of the data
-processing inequality and tensor max of mu from 1x1 up, of the certified
-bracket (on two qubits against the search, and from 1x1 up with no restart)
-and of the two-qubit product ensemble.
+"""Property tests of mu, the hermitian ceiling, its closed-form bound and the
+variational oracle over every dims pair 2x2-4x4, of mu on product states from
+1x1 up, of the data processing inequality and tensor max of mu from 1x1 up, of
+the certified bracket (on two qubits against the search, and from 1x1 up with
+no restart) and of the two-qubit product ensemble.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maxcorr as mc
-from maxcorr import linalg
+from maxcorr import correlation, linalg
 from test_correlation import haar_unitary, hermitian_ceiling
 from test_entanglement import noisy_bell, product_mixture
 
@@ -74,6 +74,27 @@ def test_mu_and_ceiling_are_local_unitary_invariant(state, seed):
 def test_ceiling_lies_between_zero_and_mu(state):
     ceiling = hermitian_ceiling(state)
     assert 0.0 <= ceiling <= mc.mu_schmidt(state).mu + 1e-12
+
+
+def deflated_pair(state):
+    """Fresh spectra and correlation._witness's deflated pair (X, Y) with its singular values s."""
+    sp = correlation._Spectra(state)
+    _, inv_a, inv_b, realigned = sp.normalized
+    w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
+    z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
+    w, z = w / np.linalg.norm(w), z / np.linalg.norm(z)
+    deflated = realigned - np.outer(w, w.conj() @ realigned)
+    u, s, vh = np.linalg.svd(deflated - np.outer(deflated @ z, z.conj()))
+    x = correlation._center_normalize(inv_a @ u[:, 0].reshape(state.d_a, state.d_a).conj().T, sp.rho_a)
+    y = correlation._center_normalize(inv_b @ vh[0].reshape(state.d_b, state.d_b), sp.rho_b)
+    return sp, x, y, s
+
+
+@PROPERTY
+@given(st.one_of(mixed_states(), st.builds(mc.random_pure, dims, dims, seed=seeds)))
+def test_ceiling_bound_is_at_least_the_ceiling(state):
+    sp, x, y, s = deflated_pair(state)
+    assert correlation._ceiling_bound(sp, x, y, s) >= correlation._hermitian_ceiling(state, sp)[0] - 1e-12
 
 
 @PROPERTY
