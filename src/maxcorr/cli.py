@@ -107,8 +107,8 @@ def read_state_file(path: str) -> BipartiteState:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge integer, or nesting too deep
+        raise ParseError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(data, dict) or "dims" not in data or "matrix" not in data:
         raise ParseError(f"{path}: expected an object with 'dims' and 'matrix'")
     dims = data["dims"]
@@ -156,7 +156,7 @@ def write_joint_csv(path: str, joint: ClassicalJoint) -> None:
 
 def read_joint_csv(path: str) -> ClassicalJoint:
     with open(path, "rb") as fh:
-        if not fh.read().strip():  # loadtxt would warn and return a (0, 1) table
+        if not any(line.split(b"#", 1)[0].strip() for line in fh):  # loadtxt would warn and return a (0, 1) table
             raise ParseError(f"{path}: empty table")
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,28 +93,34 @@ class VariationalResult:
 class _Spectra:
     """A state's two marginals, checked and diagonalized once, and what derives from them.
 
-    Both marginals are checked hermitian (linalg.hermitian_eig), then both
-    positive semidefinite, so every entry point raises the same error on the
-    same input. The normalized form is built on first use: the oracle reads
-    only the eigenpairs and never pays for it.
+    Both marginals and the realigned normalized form come off one (d_a, d_b, d_a, d_b)
+    view of rho by partial_trace's and realign's arithmetic, without their checks
+    (BipartiteState's suffice). Both marginals are checked hermitian (linalg.hermitian_eig),
+    then both positive semidefinite, so every entry point raises the same error on the
+    same input. The normalized form is built on first use: the oracle reads only the
+    eigenpairs and never pays for it.
     """
 
     def __init__(self, state: BipartiteState):
-        self.state = state
-        self.rho_a, self.rho_b = state.marginal("A"), state.marginal("B")
+        self.state, self._normalized = state, None
+        rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
+        self.rho_a, self.rho_b = linalg._trace_out(rho4, "B"), linalg._trace_out(rho4, "A")
         self.eig_a, self.eig_b = linalg.hermitian_eig(self.rho_a), linalg.hermitian_eig(self.rho_b)
         linalg.check_psd(self.eig_a[0])
         linalg.check_psd(self.eig_b[0])
 
-    @cached_property
+    @property
     def normalized(self) -> tuple:
         """(marginal ranks, rho_A^{-1/2}, rho_B^{-1/2}, realigned normalized form)."""
-        (w_a, v_a), (w_b, v_b), st = self.eig_a, self.eig_b, self.state
-        f_a, f_b = linalg.pinv_sqrt_weights(w_a), linalg.pinv_sqrt_weights(w_b)
-        inv_a, inv_b = linalg.from_eig(f_a, v_a), linalg.from_eig(f_b, v_b)
-        tilde = linalg.normalized_form(st.rho, inv_a, inv_b, st.d_a, st.d_b)
-        ranks = (int(np.count_nonzero(f_a)), int(np.count_nonzero(f_b)))
-        return ranks, inv_a, inv_b, linalg.realign(tilde, st.d_a, st.d_b)
+        if self._normalized is None:
+            (w_a, v_a), (w_b, v_b), (d_a, d_b) = self.eig_a, self.eig_b, (self.state.d_a, self.state.d_b)
+            f_a, f_b = linalg.pinv_sqrt_weights(w_a), linalg.pinv_sqrt_weights(w_b)
+            inv_a, inv_b = linalg.from_eig(f_a, v_a), linalg.from_eig(f_b, v_b)
+            tilde = linalg.normalized_form(self.state.rho, inv_a, inv_b, d_a, d_b)
+            realigned = tilde.reshape(d_a, d_b, d_a, d_b).swapaxes(1, 2).reshape(d_a * d_a, d_b * d_b)
+            ranks = (int(np.count_nonzero(f_a)), int(np.count_nonzero(f_b)))
+            self._normalized = ranks, inv_a, inv_b, realigned
+        return self._normalized
 
 
 def mu_schmidt(state: BipartiteState, witness: bool = False) -> CorrelationReport:

@@ -75,18 +75,20 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def hermitian_eig(m: np.ndarray):
     """Eigendecomposition of a hermitian matrix.
 
-    Returns (w, v) with eigenvalues w sorted descending and eigenvectors in
-    the matching columns of v. The input is symmetrized before the solve;
-    deviations from the adjoint beyond HERMITICITY_TOL raise NotHermitianError.
+    Returns (w, v): eigenvalues descending and eigenvectors in the matching columns,
+    reversed views of eigh's output. Deviations from the adjoint beyond HERMITICITY_TOL
+    raise NotHermitianError. Below it the input is symmetrized; an exactly hermitian one
+    is passed as is, since eigh reads no imaginary part off the diagonal.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
+    adj = m.conj().T
+    dev = np.abs(m - adj).max() if m.size else 0.0
     if dev > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix deviates from its adjoint by {dev:.3e}")
-    w, v = np.linalg.eigh(hermitian_part(m))
-    return w[::-1].copy(), v[:, ::-1].copy()
+    w, v = np.linalg.eigh(m if dev == 0.0 else (m + adj) / 2.0)
+    return w[::-1], v[:, ::-1]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -147,14 +149,18 @@ def psd_pinv_sqrt(m: np.ndarray) -> np.ndarray:
     return from_eig(pinv_sqrt_weights(w), v)
 
 
-def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
-    """Trace out the named subsystem, returning the other side's operator (per matrix of a stack)."""
-    m4 = _check_bipartite(m, d_a, d_b)
+def _trace_out(m4: np.ndarray, side: str) -> np.ndarray:
+    """partial_trace on an unchecked (..., d_a, d_b, d_a, d_b) view."""
     if side == "A":
         return np.einsum("...ijik->...jk", m4)
     if side == "B":
         return np.einsum("...ijkj->...ik", m4)
     raise DimensionMismatchError(f"side must be 'A' or 'B', got {side!r}")
+
+
+def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
+    """Trace out the named subsystem, returning the other side's operator (per matrix of a stack)."""
+    return _trace_out(_check_bipartite(m, d_a, d_b), side)
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:

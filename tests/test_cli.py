@@ -117,7 +117,7 @@ def test_mu_classical_rejects_bad_table(tmp_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("text", ["", " \n\t\n"])
+@pytest.mark.parametrize("text", ["", " \n\t\n", "# c\n# d\n"])
 def test_mu_classical_reports_an_empty_table_in_one_line(tmp_path, capsys, text):
     path = tmp_path / "empty.csv"
     path.write_text(text, encoding="utf-8")
@@ -285,13 +285,17 @@ def test_missing_file_is_an_input_error(capsys):
     assert code == 2
 
 
-def test_malformed_state_file_is_an_input_error(tmp_path, capsys):
-    path = str(tmp_path / "broken.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"dims": [2, 2]}')
-    code, out, err = run(capsys, "mu", path)
-    assert code == 2
-    assert "error:" in err
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"dims": [2, 2]}', b"\xff\xfe\x00garbage", b"[" * 100000],
+    ids=["missing-matrix", "not-utf8", "nested-too-deep"],
+)
+def test_malformed_state_file_is_an_input_error(tmp_path, capsys, raw):
+    path = tmp_path / "broken.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "mu", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_overflowing_state_file_is_an_input_error(tmp_path, capsys):

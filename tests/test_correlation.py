@@ -185,6 +185,26 @@ ORACLE_DIMS = [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)]
 
 
 @pytest.mark.parametrize("d_a,d_b", ORACLE_DIMS)
+def test_spectra_match_the_reference_helpers_bit_for_bit(d_a, d_b):
+    """_Spectra reads its marginals, eigenpairs and realigned normalized form off one unchecked view of rho;
+    each equals the checked helpers' result exactly, on exactly hermitian states and on one off by rounding."""
+    n = d_a * d_b
+    states = [mc.random_density(d_a, d_b, rank=r, seed=r) for r in range(1, n + 1)]
+    states += [mc.random_pure(d_a, d_b, seed=1), mc.random_product(d_a, d_b, seed=1)]
+    g = np.random.default_rng(n).standard_normal((2, n, n))
+    states.append(mc.BipartiteState(d_a, d_b, states[-1].rho + 1e-13 * (g[0] + 1j * g[1])))
+    for st in states:
+        sp = correlation._Spectra(st)
+        for side, m, (w, v) in (("A", sp.rho_a, sp.eig_a), ("B", sp.rho_b, sp.eig_b)):
+            assert np.array_equal(m, st.marginal(side))
+            w_ref, v_ref = np.linalg.eigh(linalg.hermitian_part(m))
+            assert np.array_equal(w, w_ref[::-1]) and np.array_equal(v, v_ref[:, ::-1])
+        _, inv_a, inv_b, realigned = sp.normalized
+        want = linalg.realign(linalg.normalized_form(st.rho, inv_a, inv_b, d_a, d_b), d_a, d_b)
+        assert np.array_equal(realigned, want)
+
+
+@pytest.mark.parametrize("d_a,d_b", ORACLE_DIMS)
 def test_folded_maps_are_contraction_pinv_and_centering(d_a, d_b):
     """to_x and to_y equal the half-steps written out: contract, pull back, center;
     the weights give the marginal-weighted norms."""
