@@ -5,10 +5,13 @@ operator on dimensions (d_a, d_b) is a (d_a*d_b) x (d_a*d_b) matrix whose
 composite index packs the A index first: row i*d_b + j corresponds to the
 basis vector |i>_A |j>_B. The bipartite helpers also take a (k, n, n) stack.
 
-from_eig(pinv_sqrt_weights(w), v) is the one pseudo-inverse square root, for
-hermitian_eig's checked pair and pinv_sqrt_stack's batched one alike. from_eig sums
-in numpy's ascending eigenvalue order, so the search's batched eigh feeds it without
-reordering, and mu_schmidt and mu_stack give a state the same mu to the last bit.
+from_eig(pinv_sqrt_weights(w), v) is the pseudo-inverse square root of a checked
+matrix (psd_pinv_sqrt, and correlation's per-state path). It sums in numpy's
+ascending eigenvalue order, so the search's kernels, pinv_sqrt_stack and mu_stack,
+keep eigh's order and skip the checks and helper layers with the same bits:
+pinv_sqrt_stack equals psd_pinv_sqrt, and mu_stack equals correlation.mu_schmidt,
+to the last bit. partial_trace, realign and psd_pinv_sqrt stay as the checked
+references that the tests pin those kernels to.
 """
 
 from __future__ import annotations
@@ -195,11 +198,15 @@ def normalized_form(rho: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray, d_a: 
 def pinv_sqrt_stack(ms: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square roots of a (k, n, n) stack in one batched eigh.
 
-    As psd_pinv_sqrt per matrix, through the same pinv_sqrt_weights and from_eig,
-    but unchecked: the inputs must be hermitian positive semidefinite by construction.
+    psd_pinv_sqrt's arithmetic per matrix in eigh's ascending order, unchecked
+    (the inputs must be hermitian positive semidefinite by construction): the
+    cut is RANK_TOL times the last eigenvalue, without pinv_sqrt_weights' floor
+    at 0, which passes no eigenvalue more or less since none exceeds the last,
+    and the sum is from_eig's. Each result equals psd_pinv_sqrt's bit for bit.
     """
     w, v = np.linalg.eigh(hermitian_part(ms))
-    return from_eig(pinv_sqrt_weights(w[..., ::-1]), v[..., ::-1])
+    f = np.where(w > RANK_TOL * w[..., -1:], 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
+    return (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def mu_stack(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -207,17 +214,20 @@ def mu_stack(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
     Each value is the second singular value of the realigned normalized form
     (1 (x) rho_B^{-1/2}) rho (rho_A^{-1/2} (x) 1), or 0 if there is only one.
-    The marginals, normalized form and realignment are mu_schmidt's own, so
-    each value equals mu_schmidt's bit for bit; one batched eigh per marginal
-    stack (one for both when d_a == d_b) and one batched SVD, and the states
-    are not validated.
+    Both marginals come off one checked (k, d_a, d_b, d_a, d_b) view, and the
+    normalized form is mu_schmidt's own, realigned by reshape, so each value
+    equals mu_schmidt's bit for bit. One batched eigh per marginal stack (one
+    for both when d_a == d_b) and one batched SVD; the states are not validated.
     """
-    ma = partial_trace(rhos, d_a, d_b, "B")
-    mb = partial_trace(rhos, d_a, d_b, "A")
+    r4 = _check_bipartite(rhos, d_a, d_b)
+    k, n = len(r4), d_a * d_b
+    ma, mb = _trace_out(r4, "B"), _trace_out(r4, "A")
     if d_a == d_b:
         both = pinv_sqrt_stack(np.concatenate([ma, mb]))
-        pa, pb = both[: len(ma)], both[len(ma) :]
+        pa, pb = both[:k], both[k:]
     else:
         pa, pb = pinv_sqrt_stack(ma), pinv_sqrt_stack(mb)
-    s = np.linalg.svd(realign(normalized_form(rhos, pa, pb, d_a, d_b), d_a, d_b), compute_uv=False)
-    return s[:, 1] if s.shape[1] > 1 else np.zeros(len(rhos))
+    tilde = normalized_form(r4.reshape(k, n, n), pa, pb, d_a, d_b)
+    realigned = tilde.reshape(k, d_a, d_b, d_a, d_b).swapaxes(2, 3).reshape(k, d_a * d_a, d_b * d_b)
+    s = np.linalg.svd(realigned, compute_uv=False)
+    return s[:, 1] if s.shape[1] > 1 else np.zeros(k)

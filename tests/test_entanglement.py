@@ -216,6 +216,16 @@ def test_search_stops_restarting_at_the_floor(monkeypatch):
         mc.random_povm_decomposition(st, k=0)
 
 
+def test_search_stops_restarting_once_the_bracket_closes(monkeypatch):
+    """On |Phi+> the trivial decomposition meets the Bell fidelity bound, so no restart starts."""
+    calls = []
+    monkeypatch.setattr(entanglement, "_search_once", lambda *args: calls.append(args))
+    b = mc.bracket(mc.isotropic(0.0), restarts=8)
+    assert calls == []
+    assert len(b.decomposition.components) == 1
+    assert b.lower <= b.upper <= b.lower + 1e-9
+
+
 def test_search_never_beats_certified_lower_bound():
     for eps in (0.2, 0.4, 0.6):
         st = mc.isotropic(eps)
@@ -315,7 +325,7 @@ def test_evaluate_drops_components_at_or_below_the_weight_floor():
     assert np.min(weights) > entanglement._WEIGHT_FLOOR
     assert abs(weights.sum() - 1.0) < 1e-10
     for c, mu in zip(comps, mus):
-        assert abs(mu - mc.mu_schmidt(mc.BipartiteState(2, 3, c)).mu) < 1e-9
+        assert mu == mc.mu_schmidt(mc.BipartiteState(2, 3, c)).mu
 
 
 def test_worst_component_maps_to_its_block_past_a_dropped_one():
@@ -353,6 +363,24 @@ def test_stacked_evaluate_gives_each_trial_its_own_bits(d_a, d_b, rank):
         assert len(alone) == 1
         for a, b in zip(got, alone[0]):
             assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("d_a, d_b", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)])
+def test_evaluate_scores_each_component_with_mu_schmidts_bits(d_a, d_b, k):
+    """Both evaluate paths, every block kept and one block dropped, give each kept
+    component mu_schmidt's mu exactly, so a search score is the mu it certifies."""
+    st = mc.random_density(d_a, d_b, seed=10 * d_a + d_b)
+    objective = entanglement._PovmObjective(st, k)
+    rng = np.random.default_rng(k)
+    trials = np.stack([entanglement._random_blocks(rng, st.dim, k) for _ in range(2)])
+    dropped = trials.copy()
+    dropped[1, 0] = 0.0
+    for stack, kept in ((trials, k), (dropped, k - 1)):
+        results = objective.evaluate(stack)
+        assert [len(r[2]) for r in results] == [k, kept]
+        for _, comps, mus, _ in results:
+            assert mus.tolist() == [mc.mu_schmidt(mc.BipartiteState(d_a, d_b, c)).mu for c in comps]
 
 
 class DroppingObjective:

@@ -2,7 +2,8 @@
 variational oracle over every dims pair 2x2-4x4, of mu on product states from
 1x1 up, of the data processing inequality and tensor max of mu from 1x1 up, of
 the certified bracket (on two qubits against the search, and from 1x1 up with
-no restart) and of the two-qubit product ensemble.
+no restart), of the two-qubit product ensemble, and of the search's one-pass
+soft maximum against its row-by-row reference.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maxcorr as mc
-from maxcorr import correlation, linalg
+from maxcorr import correlation, entanglement, linalg
 from test_correlation import haar_unitary, hermitian_ceiling
 from test_entanglement import noisy_bell, product_mixture
 
@@ -165,3 +166,23 @@ def test_search_certifies_mixtures_of_pure_products_at_zero(seed, terms):
     dec = mc.decomposition_search(state, restarts=0)
     assert mc.mu_ent_upper(dec) <= 1e-12
     assert dec.residual() <= 1e-10
+
+
+@st.composite
+def score_rows(draw):
+    """One to four seeded rows of component correlations in [0, 1], all of one
+    length 1-16 or (a quarter of the time) ragged, some rounded to force ties."""
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()) and draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 16), min_size=count, max_size=count))
+    else:
+        sizes = [draw(st.integers(1, 16))] * count
+    rng = np.random.default_rng(draw(seeds))
+    digits = draw(st.sampled_from([1, 3, 17]))
+    return [np.round(rng.uniform(0.0, 1.0, size), digits) for size in sizes]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(score_rows(), st.floats(0.005, 0.1))
+def test_one_pass_soft_max_equals_soft_worst_row_by_row(rows, temp):
+    assert entanglement._soft_worst_rows(rows, temp) == [entanglement._soft_worst(r, temp) for r in rows]
