@@ -437,7 +437,7 @@ def _ment_dpi_margin(t: int, s: int, d_a: int, d_b: int) -> float:
     dec = random_povm_decomposition(state, k=4, seed=s + 2)
     side = "A" if t % 2 == 0 else "B"
     d_in = d_a if side == "A" else d_b
-    ch = random_channel(d_in, 2, kraus_rank=2 if d_in <= 4 else 3, seed=s + 1, side=side)
+    ch = random_channel(d_in, 2, kraus_rank=2, seed=s + 1, side=side)
     pushed = Decomposition(
         target=apply_local(state, ch),
         weights=dec.weights,

@@ -412,7 +412,8 @@ class _PovmObjective:
     is batched products and elementwise work. Each trial gets the same bits as
     it would evaluated alone; a one-trial caller passes blocks[None]. Returns
     one (weights, components, mus, kept) tuple per trial, kept holding the
-    indices of the blocks whose components remain.
+    indices of the blocks whose components remain; decomposition turns one such
+    tuple into the Decomposition it scored, with no second evaluate.
 
     A component with p_i at or below _WEIGHT_FLOOR is dropped. That takes a
     zero or vanishing block: a random block is almost surely invertible, so
@@ -458,8 +459,8 @@ class _PovmObjective:
             for a, z, row in zip([0] + ends, ends, keep)
         ]
 
-    def decomposition(self, blocks: np.ndarray) -> Decomposition:
-        weights, comps, _, _ = self.evaluate(blocks[None])[0]
+    def decomposition(self, result: tuple) -> Decomposition:
+        weights, comps, _, _ = result
         weights = weights / weights.sum()
         states = tuple(BipartiteState(self.target.d_a, self.target.d_b, c) for c in comps)
         return Decomposition(target=self.target, weights=weights, components=states)
@@ -499,22 +500,28 @@ _STEP_UP, _STEP_DOWN = 1.3**_PROPOSALS, 0.85**_PROPOSALS
 of one proposal, compounded over the proposals a step scores."""
 
 
-def _search_once(
-    objective: _PovmObjective,
-    iters: int,
-    rng: np.random.Generator,
-) -> Decomposition:
+def _search_once(objective: _PovmObjective, iters: int, rng: np.random.Generator) -> Decomposition:
+    """One restart of a local derivative-free descent from random blocks.
+
+    It minimizes a soft-max of the component mus whose temperature anneals
+    toward the true worst value. Each of its ceil(iters / 2) steps draws two
+    proposals (the last step one, when iters is odd), each perturbing the worst
+    kept block half the time and a random block otherwise, scores them in one
+    stacked evaluate, and accepts the better one only if it improves on the
+    current point, whose soft-max is taken in the same pass as theirs; the step
+    size adapts per step by the factors of two single proposals. Returns the
+    decomposition of the last accepted evaluate result, or of the start's.
+    """
     n, k = objective.target.dim, objective.k
     random, integers = rng.random, rng.integers
     blocks = _random_blocks(rng, n, k)
-    _, _, mus, kept = objective.evaluate(blocks[None])[0]
+    _, _, mus, kept = accepted = objective.evaluate(blocks[None])[0]
     steps = -(-iters // _PROPOSALS)
     temp0, temp1 = 0.1, 0.005
     step = 0.3
     for t in range(steps):
         temp = temp0 * (temp1 / temp0) ** (t / max(steps - 1, 1))
         worst = int(kept[mus.argmax()])
-        # An odd budget gives its last step one proposal.
         trials = blocks[None].repeat(min(_PROPOSALS, iters - _PROPOSALS * t), axis=0)
         for trial in trials:
             i = worst if random() < 0.5 else int(integers(k))
@@ -524,18 +531,16 @@ def _search_once(
         best = scores.index(min(scores))
         if scores[best] < current:
             blocks = trials[best]
-            _, _, mus, kept = results[best]
+            _, _, mus, kept = accepted = results[best]
             step = min(step * _STEP_UP, 2.0)
         else:
             step = max(step * _STEP_DOWN, 1e-3)
-    return objective.decomposition(blocks)
+    return objective.decomposition(accepted)
 
 
 def random_povm_decomposition(target: BipartiteState, k: int = 4, seed: int = 0) -> Decomposition:
-    """A valid random decomposition with no optimization; a baseline certificate."""
-    objective = _PovmObjective(target, k)
-    rng = np.random.default_rng(seed)
-    return objective.decomposition(_random_blocks(rng, target.dim, k))
+    """A valid random decomposition with no optimization (the zero-step search); a baseline certificate."""
+    return _search_once(_PovmObjective(target, k), 0, np.random.default_rng(seed))
 
 
 def bracket(
@@ -552,21 +557,14 @@ def bracket(
     worst-component correlation. Two structured candidates are tried first:
     the trivial one-component decomposition, and the closed-form product
     ensemble for two-qubit targets whose spin-flip spectrum permits one (every
-    separable one). Random starts of a local derivative-free descent then run,
-    but only while the best certified bound stays above max(_FLOOR, lower +
-    _CLOSED): local search cannot meaningfully beat a bound at _FLOOR, and a
-    bracket within _CLOSED of lower is closed (on |Phi+> the trivial
-    decomposition meets the Bell fidelity bound, and no restart runs). The
-    descent minimizes a soft-max of the component correlations whose
-    temperature anneals toward the true worst value. Each of its
-    ceil(iters / 2) steps draws two proposals (the last step one, when iters
-    is odd), each perturbing the worst kept block half the time and a random
-    block otherwise, scores them in one stacked evaluate, and accepts the
-    better one only if it improves on the current point, whose soft-max is
-    taken in the same pass as theirs; the step size adapts per step by the
-    factors of two single proposals. Each candidate is scored once (_component_mus, which validates
-    it) and the winner keeps its scores. The decomposition is always valid, so
-    the bound it certifies holds no matter how well the search did.
+    separable one). Restarts of the descent in _search_once, which states its
+    step rule, then run, but only while the best certified bound stays above
+    max(_FLOOR, lower + _CLOSED): local search cannot meaningfully beat a bound
+    at _FLOOR, and a bracket within _CLOSED of lower is closed (on |Phi+> the
+    trivial decomposition meets the Bell fidelity bound, and no restart runs).
+    Each candidate is scored once here (_component_mus, which validates it) and
+    the winner keeps its scores. The decomposition is always valid, so the
+    bound it certifies holds no matter how well the search did.
     """
     objective = _PovmObjective(target, k)
     if restarts < 0 or iters < 0:

@@ -117,6 +117,26 @@ def test_mu_classical_rejects_bad_table(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mu-classical", "{ragged}"], "not a rectangular CSV of numbers"),
+        (["suite", "dpi", "--dims", "2x2x2"], "dims must look like '2x2', got '2x2x2'"),
+        (["suite", "dpi", "--dims", "2x"], "dims must look like '2x2', got '2x'"),
+        (["suite", "dpi", "--dims", "ax2"], "dims must look like '2x2', got 'ax2'"),
+        (["suite", "dpi", "--trials", "0"], "trials must be positive, got 0"),
+    ],
+    ids=["ragged-csv", "dims-three-parts", "dims-empty-side", "dims-not-a-number", "zero-trials"],
+)
+def test_malformed_argument_is_one_error_line(tmp_path, capsys, argv, message):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0.25,0.25\n0.5\n", encoding="utf-8")
+    code, out, err = run(capsys, *[a.format(ragged=ragged) for a in argv])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("text", ["", " \n\t\n", "# c\n# d\n"])
 def test_mu_classical_reports_an_empty_table_in_one_line(tmp_path, capsys, text):
     path = tmp_path / "empty.csv"
@@ -320,8 +340,11 @@ def _half_identity(n):
         {"dims": [1, 2], "matrix": [[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
         {"dims": [5, 1], "matrix": [[[0.2 if i == j else 0.0, 0.0] for j in range(5)] for i in range(5)]},
         {"dims": [1, 2], "matrix": [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+        {"dims": [1, 2], "matrix": _half_identity(2)[:1]},
+        {"dims": [1, 2], "matrix": [[[0.5, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+        {"dims": [1, 2], "matrix": [[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
     ],
-    ids=["bool-dims", "bool-cell", "oversized-dims", "huge-int-cell"],
+    ids=["bool-dims", "bool-cell", "oversized-dims", "huge-int-cell", "missing-row", "short-row", "infinite-cell"],
 )
 def test_state_file_edges_are_parse_errors(tmp_path, capsys, payload):
     path = str(tmp_path / "edge.json")
@@ -393,6 +416,11 @@ def test_tolerance_override_is_recorded(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MAXCORR_TOL", "banana")
     code, out, err = run(capsys, "mu", path)
     assert code == 2
+
+    monkeypatch.setenv("MAXCORR_TOL", "2")
+    code, out, err = run(capsys, "mu", path)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: MAXCORR_TOL must lie in (0, 1), got 2.0"]
 
 
 def test_csv_joint_roundtrip(tmp_path):

@@ -400,7 +400,7 @@ class DroppingObjective:
             out.append((None, None, np.where(idx == 1, 0.9, 0.1), idx))
         return out
 
-    def decomposition(self, blocks):
+    def decomposition(self, result):
         return None
 
 
@@ -428,11 +428,24 @@ class CountingObjective(entanglement._PovmObjective):
 @pytest.mark.parametrize("iters", [1, 2, 5, 6])
 def test_search_evaluates_exactly_iters_proposals(iters):
     # The first call scores the starting blocks; an odd budget gives the last step one proposal.
+    # The certificate is built from an accepted result, so no call rescores the final blocks.
     objective = CountingObjective(mc.random_density(2, 2, seed=3), 4)
     entanglement._search_once(objective, iters, np.random.default_rng(0))
     assert objective.sizes[0] == 1
-    assert sum(objective.sizes[1:-1]) == iters
-    assert objective.sizes[-1] == 1  # decomposition() of the final blocks
+    assert sum(objective.sizes[1:]) == iters
+    assert len(objective.sizes) == 1 + -(-iters // 2)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("d_a, d_b", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)])
+def test_random_povm_decomposition_is_the_zero_step_search(d_a, d_b, k):
+    st = mc.random_density(d_a, d_b, seed=10 * d_a + d_b)
+    got = mc.random_povm_decomposition(st, k=k, seed=k)
+    want = entanglement._search_once(entanglement._PovmObjective(st, k), 0, np.random.default_rng(k))
+    assert np.array_equal(got.weights, want.weights)
+    assert len(got.components) == len(want.components)
+    for a, b in zip(got.components, want.components):
+        assert np.array_equal(a.rho, b.rho)
 
 
 def test_search_bounds_do_not_regress():
