@@ -254,6 +254,11 @@ def cmd_mu_classical(args) -> tuple:
 
 
 def cmd_ment(args) -> tuple:
+    # By Caratheodory a decomposition prunes to at most n^2 <= MAX_DIM**4 of its own
+    # components (unit-trace hermitian n x n matrices span n^2 - 1 real dimensions)
+    # without raising its worst mu, so a larger k only costs memory.
+    if not 1 <= args.k <= MAX_DIM**4:
+        raise RangeError(f"k must lie in [1, {MAX_DIM**4}], got {args.k!r}")
     state = read_state_file(args.state)
     b = bracket(state, k=args.k, restarts=args.restarts, iters=args.iters, seed=args.seed)
     results = {

@@ -125,8 +125,9 @@ def test_mu_classical_rejects_bad_table(tmp_path, capsys):
         (["suite", "dpi", "--dims", "2x"], "dims must look like '2x2', got '2x'"),
         (["suite", "dpi", "--dims", "ax2"], "dims must look like '2x2', got 'ax2'"),
         (["suite", "dpi", "--trials", "0"], "trials must be positive, got 0"),
+        (["ment", "{ragged}", "--k", "257"], "k must lie in [1, 256], got 257"),
     ],
-    ids=["ragged-csv", "dims-three-parts", "dims-empty-side", "dims-not-a-number", "zero-trials"],
+    ids=["ragged-csv", "dims-three-parts", "dims-empty-side", "dims-not-a-number", "zero-trials", "ment-k-257"],
 )
 def test_malformed_argument_is_one_error_line(tmp_path, capsys, argv, message):
     ragged = tmp_path / "ragged.csv"

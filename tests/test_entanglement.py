@@ -9,6 +9,7 @@ from maxcorr.errors import (
     InvalidDecompositionError,
     RangeError,
 )
+from test_correlation import haar_unitary
 
 
 def product_mixture(seed, terms=4):
@@ -226,13 +227,38 @@ def test_search_stops_restarting_once_the_bracket_closes(monkeypatch):
     assert b.lower <= b.upper <= b.lower + 1e-9
 
 
+def rotated_isotropic(eps, seed):
+    """(U (x) V) isotropic(eps) (U (x) V)^dag for seeded Haar U and V: the same bracket, not recognised."""
+    rng = np.random.default_rng(seed)
+    u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    return mc.BipartiteState(2, 2, u @ mc.isotropic(eps).rho @ u.conj().T)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.5, 0.6])
+def test_search_starts_no_restart_on_a_noisy_bell_target(monkeypatch, eps):
+    """The trivial certificate stands on a recognised noisy Bell target; a rotated copy still searches."""
+    calls = []
+    search_once = entanglement._search_once
+    monkeypatch.setattr(entanglement, "_search_once", lambda *args: calls.append(args) or search_once(*args))
+    st = mc.isotropic(eps)
+    b = mc.bracket(st, restarts=8)
+    assert calls == []
+    assert len(b.decomposition.components) == 1
+    assert b.upper == mc.mu_schmidt(st).mu
+    mc.bracket(rotated_isotropic(eps, seed=3), k=4, restarts=8, iters=4)
+    assert len(calls) >= 1
+
+
 def test_search_never_beats_certified_lower_bound():
-    for eps in (0.2, 0.4, 0.6):
-        st = mc.isotropic(eps)
-        dec = mc.decomposition_search(st, k=4, restarts=2, iters=120, seed=1)
-        bound = mc.mu_ent_upper(dec)
-        assert bound >= 1.0 - 1.5 * eps - 1e-6
-        assert bound <= mc.mu_schmidt(st).mu + 1e-10
+    """mu_ent is local-unitary invariant, so a rotated copy, on which the search runs, keeps the family bracket."""
+    for seed, eps in enumerate((0.2, 0.4, 0.6)):
+        rotated = rotated_isotropic(eps, seed=seed)
+        assert entanglement._isotropic_noise(rotated) is None
+        for st in (mc.isotropic(eps), rotated):
+            dec = mc.decomposition_search(st, k=4, restarts=2, iters=120, seed=1)
+            bound = mc.mu_ent_upper(dec)
+            assert bound >= 1.0 - 1.5 * eps - 1e-6
+            assert bound <= mc.mu_schmidt(st).mu + 1e-10
 
 
 BRACKET_TARGETS = {
