@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict
 
 import numpy as np
@@ -349,9 +350,9 @@ def _parse_dims(text: str) -> tuple:
     return d_a, d_b
 
 
-def _trial_seeds(seed: int, count: int) -> list:
+def _trial_seeds(seed: int, count: int) -> Iterator[int]:
     rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
+    return (int(rng.integers(0, 2**63 - 1)) for _ in range(count))
 
 
 def _trial_suite(per_trial, key: str):

@@ -411,16 +411,12 @@ class _PovmObjective:
     when d_a != d_b) and the SVD of their mk realigned forms. Everything else
     is batched products and elementwise work. Each trial gets the same bits as
     it would evaluated alone; a one-trial caller passes blocks[None]. Returns
-    one (weights, components, mus, kept) tuple per trial, kept holding the
-    indices of the blocks whose components remain; decomposition turns one such
-    tuple into the Decomposition it scored, with no second evaluate.
+    one (weights, components, mus) tuple per trial, which decomposition turns
+    into the Decomposition it scored, with no second evaluate.
 
-    A component with p_i at or below _WEIGHT_FLOOR is dropped. That takes a
-    zero or vanishing block: a random block is almost surely invertible, so
-    its E_i is positive definite and p_i > 0. Only then are the kept
-    components gathered and split per trial; otherwise each trial's tuple
-    holds views of the stacked arrays and one shared read-only arange(k) as
-    kept.
+    The weights are positive for every block the search draws: a random block
+    is almost surely invertible, so its E_i is positive definite. A zero or
+    vanishing block (p_i at or below _WEIGHT_FLOOR) raises InvalidDecompositionError.
     """
 
     def __init__(self, target: BipartiteState, k: int):
@@ -429,8 +425,6 @@ class _PovmObjective:
         self.target = target
         self.k = k
         self.sqrt_rho = linalg.psd_sqrt(linalg.hermitian_part(target.rho))
-        self._every_block = np.arange(k)
-        self._every_block.flags.writeable = False
 
     def evaluate(self, trials: np.ndarray) -> list:
         b = np.asarray(trials)
@@ -444,23 +438,15 @@ class _PovmObjective:
         raw += raw.conj().swapaxes(-1, -2)  # hermitian_part, in place: same bits, no temporaries
         raw /= 2.0
         p = raw.trace(axis1=-2, axis2=-1).real
+        if p.min() <= _WEIGHT_FLOOR:
+            raise InvalidDecompositionError(f"POVM weight {p.min():.3e} at or below {_WEIGHT_FLOOR}")
         d_a, d_b = self.target.d_a, self.target.d_b
-        if p.min() > _WEIGHT_FLOOR:
-            comps = raw / p[..., None, None]
-            mus = linalg.mu_stack(comps.reshape(m * k, n, n), d_a, d_b).reshape(m, k)
-            return list(zip(p, comps, mus, itertools.repeat(self._every_block)))
-        keep = p > _WEIGHT_FLOOR
-        weights = p[keep]
-        comps = raw[keep] / weights[:, None, None]
-        mus = linalg.mu_stack(comps, d_a, d_b)
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        return [
-            (weights[a:z], comps[a:z], mus[a:z], np.flatnonzero(row))
-            for a, z, row in zip([0] + ends, ends, keep)
-        ]
+        comps = raw / p[..., None, None]
+        mus = linalg.mu_stack(comps.reshape(m * k, n, n), d_a, d_b).reshape(m, k)
+        return list(zip(p, comps, mus))
 
     def decomposition(self, result: tuple) -> Decomposition:
-        weights, comps, _, _ = result
+        weights, comps, _ = result
         weights = weights / weights.sum()
         states = tuple(BipartiteState(self.target.d_a, self.target.d_b, c) for c in comps)
         return Decomposition(target=self.target, weights=weights, components=states)
@@ -483,9 +469,7 @@ def _soft_worst(mus: np.ndarray, temp: float) -> float:
 
 
 def _soft_worst_rows(rows: list, temp: float) -> list:
-    """_soft_worst of each row, bit for bit: one stacked pass when the rows share a length."""
-    if len({len(r) for r in rows}) > 1:
-        return [_soft_worst(r, temp) for r in rows]
+    """_soft_worst of each row, bit for bit, in one stacked pass; the rows share one length."""
     rows = np.array(rows)
     top = rows.max(axis=1)
     sums = np.exp((rows - top[:, None]) / temp).sum(axis=1)
@@ -506,7 +490,7 @@ def _search_once(objective: _PovmObjective, iters: int, rng: np.random.Generator
     It minimizes a soft-max of the component mus whose temperature anneals
     toward the true worst value. Each of its ceil(iters / 2) steps draws two
     proposals (the last step one, when iters is odd), each perturbing the worst
-    kept block half the time and a random block otherwise, scores them in one
+    block half the time and a random block otherwise, scores them in one
     stacked evaluate, and accepts the better one only if it improves on the
     current point, whose soft-max is taken in the same pass as theirs; the step
     size adapts per step by the factors of two single proposals. Returns the
@@ -515,13 +499,13 @@ def _search_once(objective: _PovmObjective, iters: int, rng: np.random.Generator
     n, k = objective.target.dim, objective.k
     random, integers = rng.random, rng.integers
     blocks = _random_blocks(rng, n, k)
-    _, _, mus, kept = accepted = objective.evaluate(blocks[None])[0]
+    _, _, mus = accepted = objective.evaluate(blocks[None])[0]
     steps = -(-iters // _PROPOSALS)
     temp0, temp1 = 0.1, 0.005
     step = 0.3
     for t in range(steps):
         temp = temp0 * (temp1 / temp0) ** (t / max(steps - 1, 1))
-        worst = int(kept[mus.argmax()])
+        worst = int(mus.argmax())
         trials = blocks[None].repeat(min(_PROPOSALS, iters - _PROPOSALS * t), axis=0)
         for trial in trials:
             i = worst if random() < 0.5 else int(integers(k))
@@ -531,7 +515,7 @@ def _search_once(objective: _PovmObjective, iters: int, rng: np.random.Generator
         best = scores.index(min(scores))
         if scores[best] < current:
             blocks = trials[best]
-            _, _, mus, kept = accepted = results[best]
+            _, _, mus = accepted = results[best]
             step = min(step * _STEP_UP, 2.0)
         else:
             step = max(step * _STEP_DOWN, 1e-3)

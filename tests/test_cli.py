@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import maxcorr as mc
+from maxcorr import cli
 from maxcorr.cli import main, read_state_file, write_joint_csv, write_state_file
 from maxcorr.errors import ParseError
 
@@ -293,6 +295,12 @@ def test_ment_suites_pass(capsys):
     assert code == 0
     code, rep = report(capsys, "suite", "ment-tensor", "--trials", "2", "--seed", "4")
     assert code == 0
+
+
+def test_trial_seeds_are_drawn_lazily():
+    # A batched draw of 10**12 seeds would need terabytes; the lazy one gives the same first values.
+    batched = np.random.default_rng(1).integers(0, 2**63 - 1, size=12).tolist()
+    assert list(itertools.islice(cli._trial_seeds(1, 10**12), 12)) == batched
 
 
 def test_suite_rejects_unknown_name(capsys):

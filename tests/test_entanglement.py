@@ -340,35 +340,15 @@ def test_search_trajectory_is_pinned():
     assert abs(mc.mu_ent_upper(restart) - 0.5888505619248653) < 1e-12
 
 
-def test_evaluate_drops_components_at_or_below_the_weight_floor():
+@pytest.mark.parametrize("scale", [0.0, 1e-9])
+def test_evaluate_rejects_a_block_at_or_below_the_weight_floor(scale):
     st = mc.random_density(2, 3, seed=8)
     rng = np.random.default_rng(4)
-    full = [entanglement._random_block(rng, 6) for _ in range(3)]
-    blocks = [full[0], np.zeros((6, 6), dtype=complex), full[1], 1e-9 * full[2], full[2]]
-    objective = entanglement._PovmObjective(st, len(blocks))
-    weights, comps, mus, _ = objective.evaluate(np.stack(blocks)[None])[0]
-    assert weights.shape == (3,) and comps.shape == (3, 6, 6) and mus.shape == (3,)
-    assert np.min(weights) > entanglement._WEIGHT_FLOOR
-    assert abs(weights.sum() - 1.0) < 1e-10
-    for c, mu in zip(comps, mus):
-        assert mu == mc.mu_schmidt(mc.BipartiteState(2, 3, c)).mu
-
-
-def test_worst_component_maps_to_its_block_past_a_dropped_one():
-    st = mc.random_density(2, 2, seed=3)
-    rng = np.random.default_rng(2)
-    full = [entanglement._random_block(rng, 4) for _ in range(4)]
-    blocks = full[:1] + [np.zeros((4, 4), dtype=complex)] + full[1:]
-    objective = entanglement._PovmObjective(st, len(blocks))
-    weights, comps, mus, kept = objective.evaluate(np.stack(blocks)[None])[0]
-    assert kept.tolist() == [0, 2, 3, 4]
-    # The zero block adds nothing to S, so the other blocks give the same components in order.
-    dense = entanglement._PovmObjective(st, len(full)).evaluate(np.stack(full)[None])[0]
-    assert np.array_equal(mus, dense[2]) and np.array_equal(comps, dense[1])
-    # _search_once perturbs blocks[kept[argmax(mus)]]; argmax(mus) alone points one block early here.
-    worst = int(kept[np.argmax(mus)])
-    assert blocks[worst] is full[int(np.argmax(dense[2]))]
-    assert worst != int(np.argmax(mus))
+    blocks = entanglement._random_blocks(rng, 6, 3)
+    blocks[1] *= scale
+    objective = entanglement._PovmObjective(st, 3)
+    with pytest.raises(InvalidDecompositionError, match="at or below"):
+        objective.evaluate(blocks[None])
 
 
 @pytest.mark.parametrize(
@@ -379,11 +359,8 @@ def test_stacked_evaluate_gives_each_trial_its_own_bits(d_a, d_b, rank):
     objective = entanglement._PovmObjective(st, 5)
     rng = np.random.default_rng(6)
     trials = np.stack([entanglement._random_blocks(rng, st.dim, 5) for _ in range(3)])
-    trials[1, 2] = 0.0
     stacked = objective.evaluate(trials)
     assert len(stacked) == 3
-    assert stacked[1][3].tolist() == [0, 1, 3, 4]
-    assert np.min(stacked[1][0]) > entanglement._WEIGHT_FLOOR
     for j, got in enumerate(stacked):
         alone = objective.evaluate(trials[j : j + 1])
         assert len(alone) == 1
@@ -394,23 +371,19 @@ def test_stacked_evaluate_gives_each_trial_its_own_bits(d_a, d_b, rank):
 @pytest.mark.parametrize("k", [1, 8])
 @pytest.mark.parametrize("d_a, d_b", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)])
 def test_evaluate_scores_each_component_with_mu_schmidts_bits(d_a, d_b, k):
-    """Both evaluate paths, every block kept and one block dropped, give each kept
-    component mu_schmidt's mu exactly, so a search score is the mu it certifies."""
+    """evaluate gives each component mu_schmidt's mu exactly, so a search score is the mu it certifies."""
     st = mc.random_density(d_a, d_b, seed=10 * d_a + d_b)
     objective = entanglement._PovmObjective(st, k)
     rng = np.random.default_rng(k)
     trials = np.stack([entanglement._random_blocks(rng, st.dim, k) for _ in range(2)])
-    dropped = trials.copy()
-    dropped[1, 0] = 0.0
-    for stack, kept in ((trials, k), (dropped, k - 1)):
-        results = objective.evaluate(stack)
-        assert [len(r[2]) for r in results] == [k, kept]
-        for _, comps, mus, _ in results:
-            assert mus.tolist() == [mc.mu_schmidt(mc.BipartiteState(d_a, d_b, c)).mu for c in comps]
+    results = objective.evaluate(trials)
+    assert [len(r[2]) for r in results] == [k, k]
+    for _, comps, mus in results:
+        assert mus.tolist() == [mc.mu_schmidt(mc.BipartiteState(d_a, d_b, c)).mu for c in comps]
 
 
-class DroppingObjective:
-    """Stands in for _PovmObjective: block 0 is always dropped, block 1 has the worst component."""
+class WorstBlockObjective:
+    """Stands in for _PovmObjective: block 1 always has the worst component."""
 
     def __init__(self, target, k):
         self.target, self.k = target, k
@@ -419,21 +392,20 @@ class DroppingObjective:
     def evaluate(self, trials):
         if self.start is None:
             self.start = trials[0].copy()
-        idx = np.arange(1, self.k)
         out = []
         for blocks in trials:
             self.touched += [i for i, (a, b) in enumerate(zip(blocks, self.start)) if not np.array_equal(a, b)]
-            out.append((None, None, np.where(idx == 1, 0.9, 0.1), idx))
+            out.append((None, None, np.where(np.arange(self.k) == 1, 0.9, 0.1)))
         return out
 
     def decomposition(self, result):
         return None
 
 
-def test_search_perturbs_the_worst_kept_block():
+def test_search_perturbs_the_worst_block():
     # Every proposal ties the current value and is rejected, so each one differs
     # from the start in the block it perturbed: half the time the worst, else a random one.
-    objective = DroppingObjective(mc.random_density(2, 2, seed=0), 4)
+    objective = WorstBlockObjective(mc.random_density(2, 2, seed=0), 4)
     entanglement._search_once(objective, 200, np.random.default_rng(0))
     counts = np.bincount(objective.touched, minlength=4)
     assert counts[1] > 3 * counts[0]

@@ -168,18 +168,23 @@ def test_search_certifies_mixtures_of_pure_products_at_zero(seed, terms):
     assert dec.residual() <= 1e-10
 
 
+@PROPERTY
+@given(mixed_states(st.integers(1, 4)), st.integers(1, 8), seeds)
+def test_search_draws_only_blocks_of_positive_weight(state, k, seed):
+    # evaluate raises on a block at or below the floor, so a finished search proves none was drawn.
+    dec = entanglement._search_once(entanglement._PovmObjective(state, k), 6, np.random.default_rng(seed))
+    assert len(dec.components) == k
+    assert np.min(dec.weights) > entanglement._WEIGHT_FLOOR
+
+
 @st.composite
 def score_rows(draw):
     """One to four seeded rows of component correlations in [0, 1], all of one
-    length 1-16 or (a quarter of the time) ragged, some rounded to force ties."""
-    count = draw(st.integers(1, 4))
-    if draw(st.booleans()) and draw(st.booleans()):
-        sizes = draw(st.lists(st.integers(1, 16), min_size=count, max_size=count))
-    else:
-        sizes = [draw(st.integers(1, 16))] * count
+    length 1-16, some rounded to force ties."""
+    count, size = draw(st.integers(1, 4)), draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(seeds))
     digits = draw(st.sampled_from([1, 3, 17]))
-    return [np.round(rng.uniform(0.0, 1.0, size), digits) for size in sizes]
+    return [np.round(rng.uniform(0.0, 1.0, size), digits) for _ in range(count)]
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
