@@ -358,14 +358,14 @@ def _trial_seeds(seed: int, count: int) -> Iterator[int]:
 def _trial_suite(per_trial, key: str):
     """A suite calling per_trial(t, s, d_a, d_b) on each seeded trial, which returns a
     margin (key "worst_margin": min reported, violated below 0) or a gap
-    (key "worst_gap": max reported, violated above 1e-7)."""
+    (key "worst_gap": max reported, violated above 1e-7), keeping only the running worst and count."""
 
     def run(trials: int, seed: int, dims: tuple) -> tuple:
-        values = [per_trial(t, s, *dims) for t, s in enumerate(_trial_seeds(seed, trials))]
-        if key == "worst_margin":
-            worst, violations = min(values), sum(v < 0.0 for v in values)
-        else:
-            worst, violations = max(values), sum(v > 1e-7 for v in values)
+        pick, violated = (min, lambda v: v < 0.0) if key == "worst_margin" else (max, lambda v: v > 1e-7)
+        worst, violations = None, 0
+        for t, s in enumerate(_trial_seeds(seed, trials)):
+            v = per_trial(t, s, *dims)
+            worst, violations = v if worst is None else pick(worst, v), violations + violated(v)
         return {"trials": trials, key: worst}, violations
 
     return run

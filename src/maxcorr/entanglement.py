@@ -343,7 +343,7 @@ def _product_ensemble_candidate(target: BipartiteState) -> Decomposition | None:
         return None
     w, v = np.linalg.eigh(linalg.hermitian_part(target.rho))
     # Round-off eigenvalues would give columns whose spin-flip overlaps sit at _TAKAGI_CUT.
-    ensemble = v * np.sqrt(np.where(w > linalg.support_cut(w[::-1]), w, 0.0))
+    ensemble = v * np.sqrt(np.where(w > linalg.support_cut(w), w, 0.0))
     overlap = ensemble.T @ _SPIN_FLIP @ ensemble
     overlap = (overlap + overlap.T) / 2.0
     lam, u = _takagi_symmetric(overlap)

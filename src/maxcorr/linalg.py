@@ -5,13 +5,14 @@ operator on dimensions (d_a, d_b) is a (d_a*d_b) x (d_a*d_b) matrix whose
 composite index packs the A index first: row i*d_b + j corresponds to the
 basis vector |i>_A |j>_B. The bipartite helpers also take a (k, n, n) stack.
 
+support_cut alone decides which eigenvalues span a support, in either sort order.
 from_eig(pinv_sqrt_weights(w), v) is the pseudo-inverse square root of a checked
 matrix (psd_pinv_sqrt, and correlation's per-state path). It sums in numpy's
 ascending eigenvalue order, so the search's kernels, pinv_sqrt_stack and mu_stack,
-keep eigh's order and skip the checks and helper layers with the same bits:
-pinv_sqrt_stack equals psd_pinv_sqrt, and mu_stack equals correlation.mu_schmidt,
-to the last bit. partial_trace, realign and psd_pinv_sqrt stay as the checked
-references that the tests pin those kernels to.
+keep eigh's order and skip the checks with the same bits: pinv_sqrt_stack equals
+psd_pinv_sqrt, and mu_stack equals correlation.mu_schmidt, to the last bit.
+partial_trace, realign and psd_pinv_sqrt stay as the checked references that the
+tests pin those kernels to.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def check_psd(w: np.ndarray) -> None:
 
 
 def support_cut(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues above this bound span the support: RANK_TOL times the largest, floored at 0.
+    """Eigenvalues above this bound span the support: RANK_TOL times the largest.
 
-    w is descending along its last axis; the bound has shape (..., 1), one per spectrum,
-    and is empty for an empty spectrum.
+    w is sorted along its last axis, either way; the bound has shape (..., 1), one per
+    spectrum, and is empty for an empty spectrum.
     """
-    return RANK_TOL * np.maximum(w[..., :1], 0.0)
+    return RANK_TOL * np.maximum(w[..., :1], w[..., -1:])
 
 
 def sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -200,13 +201,11 @@ def pinv_sqrt_stack(ms: np.ndarray) -> np.ndarray:
 
     psd_pinv_sqrt's arithmetic per matrix in eigh's ascending order, unchecked
     (the inputs must be hermitian positive semidefinite by construction): the
-    cut is RANK_TOL times the last eigenvalue, without pinv_sqrt_weights' floor
-    at 0, which passes no eigenvalue more or less since none exceeds the last,
-    and the sum is from_eig's. Each result equals psd_pinv_sqrt's bit for bit.
+    weights are pinv_sqrt_weights' and the sum is from_eig's. Each result equals
+    psd_pinv_sqrt's bit for bit.
     """
     w, v = np.linalg.eigh(hermitian_part(ms))
-    f = np.where(w > RANK_TOL * w[..., -1:], 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    return (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * pinv_sqrt_weights(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def mu_stack(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -163,7 +163,7 @@ def validate(state: BipartiteState) -> StateDiagnostics:
         min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(rho))[0])
         ranks = []
         for side in ("A", "B"):
-            w = np.linalg.eigvalsh(linalg.hermitian_part(state.marginal(side)))[::-1]
+            w = np.linalg.eigvalsh(linalg.hermitian_part(state.marginal(side)))
             ranks.append(int(np.count_nonzero(w > linalg.support_cut(w))))
 
     failures = []

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -295,6 +296,22 @@ def test_ment_suites_pass(capsys):
     assert code == 0
     code, rep = report(capsys, "suite", "ment-tensor", "--trials", "2", "--seed", "4")
     assert code == 0
+
+
+@pytest.mark.parametrize("key", ["worst_margin", "worst_gap"])
+def test_trial_suite_keeps_no_value_per_trial(key):
+    """A suite streams its trials: 20,000 of them keep a running worst and count, not a list."""
+    run = cli._trial_suite(lambda t, s, d_a, d_b: (t % 7 - 3) * 1e-3, key)
+    run(1, 0, (2, 2))  # the first seed draw imports numpy.random
+    tracemalloc.start()
+    try:
+        results, violations = run(20_000, 0, (2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert results == {"trials": 20_000, key: -3e-3 if key == "worst_margin" else 3e-3}
+    assert violations == (8572 if key == "worst_margin" else 8571)  # t % 7 in (0, 1, 2) or in (4, 5, 6)
 
 
 def test_trial_seeds_are_drawn_lazily():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maxcorr import linalg
+from maxcorr.defaults import RANK_TOL
 from maxcorr.errors import DimensionMismatchError, NotHermitianError, NotSquareError
 from maxcorr.states import random_density, random_product, random_pure
 
@@ -184,6 +185,31 @@ def test_mu_stack_of_empty_stack_is_empty():
     for d_a, d_b in ((1, 1), (2, 3), (4, 4)):
         n = d_a * d_b
         assert linalg.mu_stack(np.zeros((0, n, n), dtype=complex), d_a, d_b).shape == (0,)
+
+
+def test_support_cut_reads_either_sort_order():
+    rng = np.random.default_rng(31)
+    for shape in ((3,), (1,), (0,), (5, 4), (2, 3, 6)):
+        w = np.sort(rng.uniform(-1e-12, 1.0, shape), axis=-1)
+        assert np.array_equal(linalg.support_cut(w), linalg.support_cut(w[..., ::-1]))
+    assert linalg.support_cut(np.array([1e-3, 0.2, 0.5])).tolist() == [0.5 * RANK_TOL]
+
+
+@pytest.mark.parametrize("weight,kept", [(3e-10, True), (1e-10, False)])
+def test_rank_cliff_is_the_same_for_every_reader(weight, kept):
+    """(1 - w)|00><00| + w|Phi+><Phi+| has marginal spectra (1 - w/2, w/2): w/2 is support only above RANK_TOL."""
+    from maxcorr.correlation import mu_schmidt
+    from maxcorr.states import BipartiteState, bell_projector, validate
+
+    zero = np.zeros((4, 4), dtype=complex)
+    zero[0, 0] = 1.0
+    st = BipartiteState(2, 2, (1.0 - weight) * zero + weight * bell_projector())
+    ranks = (2, 2) if kept else (1, 1)
+    rep = mu_schmidt(st)
+    assert rep.mu == pytest.approx(1.0 if kept else 0.0, abs=1e-6)
+    assert rep.marginal_ranks == ranks
+    assert validate(st).marginal_ranks == ranks
+    assert linalg.mu_stack(st.rho[None], 2, 2).tolist() == [rep.mu]
 
 
 def test_pinv_sqrt_stack_matches_checked_version():

@@ -43,3 +43,14 @@ def test_decomposition_search_takes_exactly_the_parameters_of_bracket():
         return [(p.name, p.default) for p in inspect.signature(f).parameters.values()]
 
     assert params(entanglement.decomposition_search) == params(entanglement.bracket)
+
+
+def test_only_support_cut_reads_the_rank_tolerance():
+    """One support rule: every other function asks linalg.support_cut which eigenvalues count."""
+    readers = [
+        where
+        for module in MODULES
+        for where, obj in callables(module)
+        if "RANK_TOL" in getattr(getattr(obj, "__code__", None), "co_names", ())
+    ]
+    assert readers == ["maxcorr.linalg.support_cut"]
