@@ -9,8 +9,6 @@ report depends on the clock or the machine.
 
 Exit codes: 0 success, 1 property violation (a mathematical invariant failed
 on the given input), 2 input error (unreadable, unparsable, or invalid data).
-The MAXCORR_TOL environment variable overrides the oracle agreement
-tolerance; reports record the override under tolerances.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from collections.abc import Iterator
@@ -178,30 +175,14 @@ def _file_inputs(path: str) -> dict:
 # report plumbing
 
 
-def _agreement_tol() -> tuple:
-    raw = os.environ.get("MAXCORR_TOL")
-    if raw is None:
-        return AGREEMENT_TOL, "default"
-    try:
-        val = float(raw)
-    except ValueError as exc:
-        raise ParseError(f"MAXCORR_TOL={raw!r} is not a number") from exc
-    if not 0.0 < val < 1.0:
-        raise RangeError(f"MAXCORR_TOL must lie in (0, 1), got {val!r}")
-    return val, "env:MAXCORR_TOL"
-
-
-def _tolerances() -> dict:
-    tol, source = _agreement_tol()
-    return {
-        "agreement_tol": tol,
-        "agreement_tol_source": source,
-        "hermiticity_tol": HERMITICITY_TOL,
-        "psd_tol": PSD_TOL,
-        "rank_tol": RANK_TOL,
-        "reconstruction_tol": RECONSTRUCTION_TOL,
-        "trace_tol": TRACE_TOL,
-    }
+_TOLERANCES = {
+    "agreement_tol": AGREEMENT_TOL,
+    "hermiticity_tol": HERMITICITY_TOL,
+    "psd_tol": PSD_TOL,
+    "rank_tol": RANK_TOL,
+    "reconstruction_tol": RECONSTRUCTION_TOL,
+    "trace_tol": TRACE_TOL,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +203,8 @@ def cmd_mu(args) -> tuple:
         results["witness"] = asdict(report.witness)
     violation = bool(report.warnings)
     if args.oracle:
-        tol, _ = _agreement_tol()
         oracle = mu_variational(state, restarts=args.restarts, seed=args.seed)
-        low, high = report.mu - max(tol, 1e-4), report.mu + tol
+        low, high = report.mu - max(AGREEMENT_TOL, 1e-4), report.mu + AGREEMENT_TOL
         agrees = low <= oracle.value <= high
         results["oracle"] = {
             "value": oracle.value,
@@ -589,7 +569,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "inputs": inputs,
                 "seed": seed,
-                "tolerances": _tolerances(),
+                "tolerances": _TOLERANCES,
                 "results": results,
                 "warnings": warnings,
                 "timing": {"wall_time_s": time.monotonic() - started},

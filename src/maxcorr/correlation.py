@@ -264,7 +264,6 @@ def _pair_stats(state: BipartiteState, sp: _Spectra, x, y, hermitian: bool, mult
 def mu_variational(
     state: BipartiteState,
     restarts: int = RESTARTS,
-    iters: int = ORACLE_ITERS,
     seed: int = 0,
 ) -> VariationalResult:
     """Maximal correlation by direct alternating ascent on the defining problem.
@@ -286,8 +285,8 @@ def mu_variational(
     feasible observable: the value is then 0.0, converged in 0 iterations,
     with no witness, as mu_schmidt's mu = 0.
     """
-    if restarts < 1 or iters < 1:
-        raise RangeError("restarts and iters must be positive")
+    if restarts < 1:
+        raise RangeError("restarts must be positive")
     sp = _Spectra(state)
     if min(state.d_a, state.d_b) == 1:
         return VariationalResult(value=0.0, witness=None, converged=True, iterations=0)
@@ -298,7 +297,7 @@ def mu_variational(
     for _ in range(restarts):
         y, x = _random_observable(sp.rho_b, rng).reshape(-1), np.zeros(state.d_a * state.d_a)
         value, prev, converged, used = 0.0, -1.0, False, 0
-        for it in range(iters):
+        for it in range(ORACLE_ITERS):
             used = it + 1
             x_dir, _ = _half_step(to_x, weight_a, y)
             y_dir, value = (None, 0.0) if x_dir is None else _half_step(to_y, weight_b, x_dir)

@@ -37,7 +37,7 @@ SEARCH_ITERS = 400
 """Default proposals evaluated per decomposition-search restart (two per search step)."""
 
 ORACLE_ITERS = 2000
-"""Default alternating-update iterations per variational restart."""
+"""Alternating-update iterations per variational restart."""
 
 TRIALS = 100
 """Default trial count for randomized property suites."""

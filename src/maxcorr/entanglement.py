@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .defaults import COMPONENTS, RECONSTRUCTION_TOL, RESTARTS, SEARCH_ITERS
+from .defaults import COMPONENTS, PSD_TOL, RECONSTRUCTION_TOL, RESTARTS, SEARCH_ITERS
 from .errors import (
     DimensionMismatchError,
     InvalidDecompositionError,
@@ -288,7 +288,7 @@ def ppt_check(state: BipartiteState) -> PptReport:
     pt = linalg.partial_transpose(state.rho, state.d_a, state.d_b, "B")
     w = np.linalg.eigvalsh(linalg.hermitian_part(pt))
     min_eig = float(w[0])
-    return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= -1e-10)
+    return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= -PSD_TOL)
 
 
 _SPIN_FLIP = np.kron(

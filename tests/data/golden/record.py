@@ -68,7 +68,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     os.chdir(test_golden.GOLDEN)
-    os.environ.pop("MAXCORR_TOL", None)
     reports = test_golden.GOLDEN / "reports"
     moved, refused = {}, []
     for name in sorted(test_golden.CASES):

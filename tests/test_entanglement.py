@@ -5,6 +5,7 @@ import pytest
 
 import maxcorr as mc
 from maxcorr import entanglement
+from maxcorr.defaults import PSD_TOL
 from maxcorr.errors import (
     InvalidDecompositionError,
     RangeError,
@@ -166,6 +167,14 @@ def test_ppt_family_eigenvalue():
         rep = mc.ppt_check(mc.isotropic(eps))
         assert abs(rep.min_eigenvalue - (3.0 * eps - 2.0) / 4.0) < 1e-12
         assert rep.is_ppt == (eps >= 2.0 / 3.0 - 1e-9)
+
+
+def test_ppt_verdict_cuts_at_the_psd_tolerance():
+    """isotropic(eps) has partial-transpose minimum (3 eps - 2)/4; the verdict flips at -PSD_TOL."""
+    for factor, want in ((-0.5, True), (-2.0, False)):
+        rep = mc.ppt_check(mc.isotropic((2.0 + 4.0 * factor * PSD_TOL) / 3.0))
+        assert abs(rep.min_eigenvalue - factor * PSD_TOL) < 1e-12
+        assert rep.is_ppt is want
 
 
 def test_ppt_accepts_separables():

@@ -48,6 +48,5 @@ def pinned_report(argv, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.delenv("MAXCORR_TOL", raising=False)
     want = (GOLDEN / "reports" / f"{name}.json").read_text(encoding="utf-8")
     assert pinned_report(CASES[name], capsys) == want

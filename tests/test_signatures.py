@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from maxcorr import correlation, entanglement, linalg, states
+from maxcorr import cli, correlation, entanglement, linalg, states
 
 MODULES = (linalg, correlation, entanglement, states)
 
@@ -54,3 +54,23 @@ def test_only_support_cut_reads_the_rank_tolerance():
         if "RANK_TOL" in getattr(getattr(obj, "__code__", None), "co_names", ())
     ]
     assert readers == ["maxcorr.linalg.support_cut"]
+
+
+def code_names(code):
+    """The global and attribute names a code object reads, with those of the functions nested in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= code_names(const)
+    return names
+
+
+def test_no_function_reads_the_environment():
+    """Reports depend only on input, flags and seed: nothing consults os.environ or os.getenv."""
+    readers = [
+        where
+        for module in MODULES + (cli,)
+        for where, obj in callables(module)
+        if hasattr(obj, "__code__") and {"environ", "getenv"} & code_names(obj.__code__)
+    ]
+    assert readers == []
