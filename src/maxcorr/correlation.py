@@ -16,8 +16,9 @@ cross-checks the spectral route independently.
 Each entry point takes, checks and diagonalizes both marginals exactly once
 (_Spectra) and derives ranks, (pseudo-inverse) square roots, the folded maps
 and the hermitian witness from those eigenpairs. The witness scores exactly one
-ObservablePair and builds the hermitian ceiling only when a closed-form bound
-says it may come within 1e-8 of mu, so never on a generic mixed state.
+ObservablePair and builds the hermitian ceiling only when a closed-form bound,
+taken side by side and no further once one side rules the ceiling out, says it
+may come within 1e-8 of mu, so never on a generic mixed state.
 """
 
 from __future__ import annotations
@@ -244,9 +245,11 @@ def _half_step(to: np.ndarray, weight: np.ndarray, v: np.ndarray):
 
 
 def _objective(state: BipartiteState, x: np.ndarray, y: np.ndarray) -> complex:
-    """tr(rho (X (x) Y^dag)) = sum rho[i, j, k, l] X[k, i] Y[j, l]^*: one contraction of rho's 4-index form."""
-    rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
-    return complex(np.vdot(y, np.tensordot(rho4, x, axes=([2, 0], [0, 1]))))
+    """tr(rho (X (x) Y^dag)) = sum rho[i, j, k, l] X[k, i] Y[j, l]^*: one matrix-vector product on rho's 4-index
+    form, the transpose, reshape and dot that np.tensordot(rho4, x, axes=([2, 0], [0, 1])) runs, without its wrapper."""
+    d_a, d_b = state.d_a, state.d_b
+    m = state.rho.reshape(d_a, d_b, d_a, d_b).transpose(1, 3, 2, 0).reshape(d_b * d_b, d_a * d_a)
+    return complex(np.vdot(y, np.dot(m, x.reshape(d_a * d_a, 1)).reshape(d_b, d_b)))
 
 
 def _hermitian(*ops: np.ndarray) -> bool:
@@ -363,7 +366,8 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
     """extract_witness on spectra already taken, or None when mu vanishes: Y's phase (_objective), |raw|
     and the rotated pair's hermiticity choose the deflated pair or the ceiling's; only that one is scored.
 
-    The ceiling is built only if _ceiling_bound(sp, x, y, s) + 1e-12 >= |raw| - 1e-8. Whitened in <X, Z>_A =
+    The ceiling is built only if every bound _ceiling_bounds yields, side A's and then both sides', passes
+    b + 1e-12 >= |raw| - 1e-8; side B is not computed once side A fails. Whitened in <X, Z>_A =
     tr(rho_A X Z^dag), a unit a = alpha u0 + a_perp (u0 the deflated top vector, x) has |a^dag D b| <= mu |alpha|
     |beta| + s1 sqrt((1 - |alpha|^2)(1 - |beta|^2)) <= sqrt(mu^2 - (mu^2 - s1^2)(1 - |alpha|^2)), s1 = s[1]. A
     hermitian a has 1 - |alpha|^2 = min_c ||x - c a||^2 >= eta_A(x) = sum k_ij |t_ij|^2 - |sum k_ij t_ij t_ji|,
@@ -374,8 +378,8 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
     w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
     z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
     w, z = w / np.linalg.norm(w), z / np.linalg.norm(z)
-    deflated = realigned - np.outer(w, w.conj() @ realigned)
-    deflated = deflated - np.outer(deflated @ z, z.conj())
+    deflated = realigned - w[:, None] * (w.conj() @ realigned)
+    deflated = deflated - (deflated @ z)[:, None] * z.conj()
 
     u, s, vh = np.linalg.svd(deflated, full_matrices=False)
     if not s.size or s[0] < 1e-12:
@@ -389,7 +393,7 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
     if abs(raw) > 0.0:
         y = y * np.exp(1j * np.angle(raw))
 
-    if not (hermitian := _hermitian(x, y)) and _ceiling_bound(sp, x, y, s) + 1e-12 >= abs(raw) - 1e-8:
+    if not (hermitian := _hermitian(x, y)) and all(b + 1e-12 >= abs(raw) - 1e-8 for b in _ceiling_bounds(sp, x, y, s)):
         ceiling, hx, hy = _hermitian_ceiling(state, sp)
         if ceiling >= abs(raw) - 1e-8:
             hx, hy = _center_normalize(hx, sp.rho_a), _center_normalize(hy, sp.rho_b)
@@ -398,16 +402,16 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
     return _pair_stats(state, sp, x, y, hermitian, mult)
 
 
-def _ceiling_bound(sp: _Spectra, x: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
-    """sqrt(mu^2 - (mu^2 - s1^2) max(eta_A(x), eta_B(y))) >= _hermitian_ceiling for _witness's (x, y, s)."""
-    eta = 0.0
+def _ceiling_bounds(sp: _Spectra, x: np.ndarray, y: np.ndarray, s: np.ndarray):
+    """Yield sqrt(mu^2 - (mu^2 - s1^2) eta) at eta = eta_A(x), then max(eta_A(x), eta_B(y)): each is at least
+    _hermitian_ceiling for _witness's (x, y, s), and they do not increase, so a gate may stop at the first to fail."""
+    eta, mu, s1 = 0.0, float(s[0]), float(s[1]) if s.size > 1 else 0.0
     for op, (w, v) in ((x, sp.eig_a), (y, sp.eig_b)):
         a = np.maximum(w, 0.0)
         t = v.conj().T @ op @ v
-        kt = np.outer(a, a) / np.maximum(a[:, None] + a, 1e-300) * t  # 0 where a_i = a_j = 0
+        kt = a[:, None] * a / np.maximum(a[:, None] + a, 1e-300) * t  # 0 where a_i = a_j = 0
         eta = max(eta, float(np.vdot(t, kt).real - abs((kt * t.T).sum())))
-    mu, s1 = float(s[0]), float(s[1]) if s.size > 1 else 0.0
-    return math.sqrt(max(mu * mu - (mu * mu - s1 * s1) * eta, 0.0))
+        yield math.sqrt(max(mu * mu - (mu * mu - s1 * s1) * eta, 0.0))
 
 
 def _pair_sums(w: np.ndarray):

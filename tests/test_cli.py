@@ -298,6 +298,57 @@ def test_ment_suites_pass(capsys):
     assert code == 0
 
 
+def _iso04(tmp_path, capsys):
+    path = str(tmp_path / "iso04.json")
+    report(capsys, "gen", "isotropic", "0.4", "-o", path)
+    return path
+
+
+def _fake_oracle(value, converged):
+    return lambda state, restarts, seed: mc.VariationalResult(value, None, converged, 1)
+
+
+def _fake_bracket(state, **kwargs):
+    dec = mc.Decomposition(target=state, weights=np.ones(1), components=(state,))
+    return mc.Bracket(lower=0.6, upper=0.5, decomposition=dec, component_mu=np.array([0.5]))
+
+
+def _off_clifford_average(state):
+    return mc.BipartiteState(2, 2, cli.twirl_exact(state).rho + 1e-9 * np.diag([1.0, -1.0, 0.0, 0.0]))
+
+
+def _const_mu(*args, **kwargs):
+    return mc.CorrelationReport(mu=0.5, schmidt=np.array([1.0, 0.5]), lambda1_deviation=0.0, marginal_ranks=(2, 2))
+
+
+@pytest.mark.parametrize(
+    "name,fake,argv,warning",
+    [
+        ("mu_variational", _fake_oracle(0.5, True), ("mu", "{state}", "--oracle"), "oracle value 0.5 outside"),
+        ("twirl_clifford_average", _off_clifford_average, ("twirl", "{state}"), "Clifford average disagree"),
+        ("bracket", _fake_bracket, ("ment", "{state}", "--restarts", "0"), "certified bounds crossed"),
+        ("mu_schmidt", _const_mu, ("suite", "extremes", "--trials", "4"), "4 trial(s) violated"),
+        ("mu_classical", _const_mu, ("suite", "semicontinuity"), "5 trial(s) violated"),
+    ],
+    ids=["mu-oracle", "twirl", "ment", "suite-extremes", "suite-semicontinuity"],
+)
+def test_a_failed_invariant_prints_its_report_and_exits_one(tmp_path, capsys, monkeypatch, name, fake, argv, warning):
+    state = _iso04(tmp_path, capsys)
+    monkeypatch.setattr(cli, name, fake)
+    code, rep = report(capsys, *(a.format(state=state) for a in argv))
+    assert code == 1
+    assert any(warning in w for w in rep["warnings"]), rep["warnings"]
+
+
+def test_a_non_converged_oracle_inside_the_window_only_warns(tmp_path, capsys, monkeypatch):
+    state = _iso04(tmp_path, capsys)
+    monkeypatch.setattr(cli, "mu_variational", _fake_oracle(0.6, False))
+    code, rep = report(capsys, "mu", state, "--oracle")
+    assert code == 0
+    assert rep["results"]["oracle"]["agrees"] is True
+    assert rep["warnings"] == ["oracle did not converge; its value is still a feasible lower estimate"]
+
+
 @pytest.mark.parametrize("key", ["worst_margin", "worst_gap"])
 def test_trial_suite_keeps_no_value_per_trial(key):
     """A suite streams its trials: 20,000 of them keep a running worst and count, not a list."""

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,25 @@ def test_objective_matches_the_kron_form(d_a, d_b):
         y = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
         want = (st.rho @ np.kron(x, y.conj().T)).trace()
         assert abs(correlation._objective(st, x, y) - want) < 1e-14
+
+
+def tensordot_objective(st, x, y):
+    """The contraction _objective runs, written as np.tensordot over rho's 4-index form."""
+    rho4 = st.rho.reshape(st.d_a, st.d_b, st.d_a, st.d_b)
+    return complex(np.vdot(y, np.tensordot(rho4, x, axes=([2, 0], [0, 1]))))
+
+
+@pytest.mark.parametrize("d_a,d_b", [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)])
+def test_objective_is_the_tensordot_contraction_bit_for_bit(d_a, d_b):
+    n = d_a * d_b
+    rng = np.random.default_rng(n)
+    for rank, seed in itertools.product(sorted({1, min(2, n), max(n // 2, 1), n}), range(3)):
+        st = mc.random_density(d_a, d_b, rank=rank, seed=seed)
+        w = mc.mu_schmidt(st, witness=True).witness
+        x = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
+        y = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
+        for pair in [(x, y)] + ([] if w is None else [(w.x, w.y)]):
+            assert correlation._objective(st, *pair) == tensordot_objective(st, *pair)
 
 
 def test_variational_rejects_bad_budgets():

@@ -94,8 +94,12 @@ def deflated_pair(state):
 @PROPERTY
 @given(st.one_of(mixed_states(), st.builds(mc.random_pure, dims, dims, seed=seeds)))
 def test_ceiling_bound_is_at_least_the_ceiling(state):
+    # Every bound the gate may stop at is sound, and side B's can only tighten side A's.
     sp, x, y, s = deflated_pair(state)
-    assert correlation._ceiling_bound(sp, x, y, s) >= correlation._hermitian_ceiling(state, sp)[0] - 1e-12
+    bounds = list(correlation._ceiling_bounds(sp, x, y, s))
+    assert len(bounds) == 2
+    assert min(bounds) >= correlation._hermitian_ceiling(state, sp)[0] - 1e-12
+    assert bounds[1] <= bounds[0]
 
 
 @PROPERTY

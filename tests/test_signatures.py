@@ -1,6 +1,9 @@
 """Tolerances are constants in maxcorr.defaults, not call arguments."""
 
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +77,17 @@ def test_no_function_reads_the_environment():
         if hasattr(obj, "__code__") and {"environ", "getenv"} & code_names(obj.__code__)
     ]
     assert readers == []
+
+
+def test_the_library_imports_nothing_but_numpy_and_the_standard_library():
+    """The package is pure numpy: every absolute import in src/maxcorr names numpy or a standard module."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+    found = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert {"numpy", "argparse"} <= {name for _, name in found}
+    assert sorted((f, name) for f, name in found if name not in allowed) == []

@@ -169,3 +169,80 @@ def test_channel_dimension_mismatch_raises():
     ch = mc.random_channel(3, 3, kraus_rank=1, seed=0, side="A")
     with pytest.raises(DimensionMismatchError):
         mc.apply_local(mc.random_density(2, 2, seed=0), ch)
+
+
+def _split_isotropic(shift):
+    """isotropic(0.4) as the even mixture of rho + D and rho - D, D = shift (|01><01| - |10><10|)."""
+    rho, d = mc.isotropic(0.4).rho, shift * np.diag([0.0, 1.0, -1.0, 0.0])
+    parts = (mc.BipartiteState(2, 2, rho + d), mc.BipartiteState(2, 2, rho - d))
+    return mc.Decomposition(target=mc.isotropic(0.4), weights=np.full(2, 0.5), components=parts)
+
+
+_TWO_BY_THREE = mc.random_density(2, 3, seed=0)
+_ROOM = np.eye(4) / 4.0
+
+INPUT_GUARDS = {
+    "state-zero-dim": (lambda: mc.BipartiteState(0, 2, np.eye(2)), DimensionMismatchError, "must be positive"),
+    "marginal-side": (lambda: mc.isotropic(0.3).marginal("C"), DimensionMismatchError, "side must be 'A' or 'B'"),
+    "joint-1d": (lambda: mc.ClassicalJoint(np.array([0.5, 0.5])), DimensionMismatchError, "must be 2-D"),
+    "joint-nan": (lambda: mc.ClassicalJoint(np.array([[0.5, np.nan], [0.5, 0.0]])), RangeError, "non-finite"),
+    "channel-side": (lambda: mc.LocalChannel(side="C", kraus=(np.eye(2),)), DimensionMismatchError, "side must be"),
+    "channel-empty": (lambda: mc.LocalChannel(side="A", kraus=()), RangeError, "at least one Kraus block"),
+    "channel-vector": (lambda: mc.LocalChannel(side="A", kraus=(np.ones(2),)), DimensionMismatchError, "matrices"),
+    "channel-shapes": (
+        lambda: mc.LocalChannel(side="A", kraus=(np.eye(2), np.eye(3))),
+        DimensionMismatchError,
+        "share one shape",
+    ),
+    "channel-inf": (lambda: mc.LocalChannel(side="B", kraus=(np.diag([1.0, np.inf]),)), RangeError, "non-finite"),
+    "channel-not-tp": (lambda: mc.LocalChannel(side="A", kraus=(2.0 * np.eye(2),)), RangeError, "trace preservation"),
+    "bsc-epsilon": (lambda: mc.classical_bsc(1.5), RangeError, r"epsilon must lie in \[0, 1\]"),
+    "measure-zero": (
+        lambda: mc.measure_computational(mc.BipartiteState(2, 2, np.zeros((4, 4)))),
+        RangeError,
+        "no diagonal weight",
+    ),
+    "random-channel-dims": (lambda: mc.random_channel(0, 2, 1), RangeError, "must be positive"),
+    "apply-local-d-in": (
+        lambda: mc.apply_local(mc.random_density(2, 2, seed=0), mc.random_channel(3, 3, 1, side="B")),
+        DimensionMismatchError,
+        "channel expects d_in = 3",
+    ),
+    "decomposition-negative-weight": (
+        lambda: mc.Decomposition(
+            target=mc.isotropic(0.4), weights=np.array([1.5, -0.5]), components=(mc.isotropic(0.4),) * 2
+        ),
+        mc.InvalidDecompositionError,
+        "negative weight",
+    ),
+    "decomposition-dims": (
+        lambda: mc.Decomposition(target=mc.isotropic(0.4), weights=np.ones(1), components=(_TWO_BY_THREE,)),
+        DimensionMismatchError,
+        "component dimensions differ",
+    ),
+    "mu-ent-upper-not-psd": (lambda: mc.mu_ent_upper(_split_isotropic(0.3)), mc.InvalidDecompositionError, "component"),
+    "bell-fidelity-2x3": (lambda: mc.bell_fidelity(_TWO_BY_THREE), DimensionMismatchError, "two-qubit"),
+    "clifford-twirl-2x3": (lambda: mc.twirl_clifford_average(_TWO_BY_THREE), DimensionMismatchError, "two-qubit"),
+    "partial-trace-zero-dim": (lambda: mc.partial_trace(_ROOM, 0, 4, "A"), DimensionMismatchError, "must be positive"),
+    "partial-trace-side": (lambda: mc.partial_trace(_ROOM, 2, 2, "C"), DimensionMismatchError, "side must be"),
+    "partial-transpose-side": (lambda: mc.partial_transpose(_ROOM, 2, 2, "C"), DimensionMismatchError, "side must"),
+    "hermitian-eig-2x3": (lambda: mc.hermitian_eig(np.ones((2, 3))), mc.NotSquareError, "square matrix"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_GUARDS, ids=list(INPUT_GUARDS))
+def test_each_input_guard_raises_its_documented_error(case):
+    call, error, message = INPUT_GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_mu_schmidt_warns_on_a_leading_coefficient_above_one():
+    """I/4 + 0.3 (XX + YY + ZZ) has PSD marginals I/2 but eigenvalue -0.65: its leading coefficient is 1.2."""
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])
+    rho = np.eye(4) / 4.0 + 0.3 * sum(np.kron(p, p) for p in (x, y, z))
+    rep = mc.mu_schmidt(mc.BipartiteState(2, 2, rho))
+    assert abs(rep.lambda1_deviation - 0.2) < 1e-12
+    assert rep.warnings == (
+        "leading Schmidt coefficient off by 2.000e-01; the input may not be a valid normalized state",
+    )
