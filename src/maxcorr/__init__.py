@@ -1,4 +1,7 @@
-"""Maximal correlation of bipartite states and certified entanglement bounds."""
+"""Maximal correlation of bipartite states and certified entanglement bounds.
+
+The imports below are the public API, declared here and nowhere else; no module keeps an __all__.
+"""
 
 from .correlation import (
     CorrelationReport,

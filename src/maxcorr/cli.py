@@ -375,31 +375,20 @@ def _tensor_gap(t: int, s: int, d_a: int, d_b: int) -> float:
 
 def _suite_extremes(trials: int, seed: int, dims: tuple) -> tuple:
     d_a, d_b = dims
-    seeds = _trial_seeds(seed, trials)
     violations = 0
-    worst_product = 0.0
-    worst_pure = 1.0
+    worst_product = worst_pure = None  # a family no trial drew has no worst value
     pure_mu = 1.0 if min(d_a, d_b) > 1 else 0.0
-    for t, s in enumerate(seeds):
+    for t, s in enumerate(_trial_seeds(seed, trials)):
         if t % 2 == 0:
             mu = mu_schmidt(random_product(d_a, d_b, seed=s)).mu
-            worst_product = max(worst_product, mu)
-            if mu > 1e-8:
-                violations += 1
+            worst_product = mu if worst_product is None else max(worst_product, mu)
+            violations += mu > 1e-8
         else:
             # A pure state is maximally correlated unless a side of dimension 1 makes it a product.
             mu = mu_schmidt(random_pure(d_a, d_b, seed=s)).mu
-            worst_pure = min(worst_pure, mu)
-            if abs(mu - pure_mu) > 1e-8:
-                violations += 1
-    return (
-        {
-            "trials": trials,
-            "worst_product_mu": worst_product,
-            "worst_pure_mu": worst_pure,
-        },
-        violations,
-    )
+            worst_pure = mu if worst_pure is None else min(worst_pure, mu)
+            violations += abs(mu - pure_mu) > 1e-8
+    return {"trials": trials, "worst_product_mu": worst_product, "worst_pure_mu": worst_pure}, violations
 
 
 def _suite_semicontinuity(trials: int, seed: int, dims: tuple) -> tuple:

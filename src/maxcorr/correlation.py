@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,15 +33,6 @@ from .defaults import LAMBDA1_WARN_TOL, ORACLE_ITERS, RESTARTS
 from .errors import DegenerateMarginalError, RangeError
 from .states import BipartiteState, ClassicalJoint
 
-__all__ = [
-    "ObservablePair",
-    "CorrelationReport",
-    "VariationalResult",
-    "mu_schmidt",
-    "mu_classical",
-    "mu_variational",
-    "extract_witness",
-]
 
 _DEGENERACY_TOL = 1e-10
 _ZERO_DIRECTION = 1e-14
@@ -97,9 +87,10 @@ class _Spectra:
     Both marginals and the realigned normalized form come off one (d_a, d_b, d_a, d_b)
     view of rho by partial_trace's and realign's arithmetic, without their checks
     (BipartiteState's suffice). Both marginals are checked hermitian (linalg.hermitian_eig),
-    then both positive semidefinite, so every entry point raises the same error on the
-    same input. The normalized form is built on first use: the oracle reads only the
-    eigenpairs and never pays for it.
+    then both positive semidefinite, each against the floor times the dimension it traces
+    out (linalg.check_psd), so every entry point raises the same error on the same input
+    and measures whatever validate accepts. The normalized form is built on first use:
+    the oracle reads only the eigenpairs and never pays for it.
     """
 
     def __init__(self, state: BipartiteState):
@@ -107,8 +98,8 @@ class _Spectra:
         rho4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
         self.rho_a, self.rho_b = linalg._trace_out(rho4, "B"), linalg._trace_out(rho4, "A")
         self.eig_a, self.eig_b = linalg.hermitian_eig(self.rho_a), linalg.hermitian_eig(self.rho_b)
-        linalg.check_psd(self.eig_a[0])
-        linalg.check_psd(self.eig_b[0])
+        linalg.check_psd(self.eig_a[0], state.d_b)
+        linalg.check_psd(self.eig_b[0], state.d_a)
 
     @property
     def normalized(self) -> tuple:
@@ -140,7 +131,7 @@ def mu_schmidt(state: BipartiteState, witness: bool = False) -> CorrelationRepor
     ranks, _, _, realigned = spectra.normalized
     schmidt = linalg.singular_values(realigned)
     mu = float(schmidt[1]) if schmidt.size > 1 else 0.0
-    dev = float(abs(schmidt[0] - 1.0)) if schmidt.size else 1.0
+    dev = float(abs(schmidt[0] - 1.0))
 
     warnings = []
     if dev > LAMBDA1_WARN_TOL:
@@ -382,7 +373,7 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
     deflated = deflated - (deflated @ z)[:, None] * z.conj()
 
     u, s, vh = np.linalg.svd(deflated, full_matrices=False)
-    if not s.size or s[0] < 1e-12:
+    if s[0] < 1e-12:
         return None
     mult = int(np.sum(s >= s[0] - _DEGENERACY_TOL))
     x = _center_normalize(inv_a @ u[:, 0].reshape(state.d_a, state.d_a).conj().T, sp.rho_a)
@@ -421,9 +412,8 @@ def _pair_sums(w: np.ndarray):
     return keep, np.where(keep, denom, 1.0)
 
 
-@lru_cache(maxsize=16)
 def _hermitian_basis(d: int) -> np.ndarray:
-    """Columns vec(E^T) for the orthonormal basis E_ij of the d x d hermitian matrices (read-only, cached).
+    """Columns vec(E^T) for the orthonormal basis E_ij of the d x d hermitian matrices.
 
     E_ii = e_ii, E_ij = (e_ij + e_ji)/sqrt(2) for i < j, i(e_ij - e_ji)/sqrt(2) for i > j.
     """
@@ -431,9 +421,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
     i, j = np.divmod(np.arange(d * d), d)
     sym = (e + e.transpose(0, 2, 1)) / np.where(i == j, 2.0, np.sqrt(2.0))[:, None, None]
     basis = np.where((i <= j)[:, None, None], sym, 1j * (e - e.transpose(0, 2, 1)) / np.sqrt(2.0))
-    out = basis.transpose(0, 2, 1).reshape(d * d, d * d).T
-    out.flags.writeable = False
-    return out
+    return basis.transpose(0, 2, 1).reshape(d * d, d * d).T
 
 
 def _hermitian_ceiling(state: BipartiteState, sp: _Spectra) -> tuple:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .defaults import COMPONENTS, PSD_TOL, RECONSTRUCTION_TOL, RESTARTS, SEARCH_ITERS
+from .defaults import COMPONENTS, RECONSTRUCTION_TOL, RESTARTS, SEARCH_ITERS
 from .errors import (
     DimensionMismatchError,
     InvalidDecompositionError,
@@ -38,24 +38,6 @@ from .errors import (
 )
 from .states import BipartiteState, _bell_vector, _noisy_bell, isotropic, validate
 
-__all__ = [
-    "Bracket",
-    "Decomposition",
-    "IsotropicBounds",
-    "PptReport",
-    "mu_ent_upper",
-    "bell_fidelity",
-    "fidelity_mu_lower_bound",
-    "single_qubit_cliffords",
-    "twirl_exact",
-    "twirl_clifford_average",
-    "separable_iso_decomposition",
-    "lambda_bounds",
-    "ppt_check",
-    "random_povm_decomposition",
-    "bracket",
-    "decomposition_search",
-]
 
 _WEIGHT_FLOOR = 1e-12
 _FLOOR = 1e-8
@@ -288,7 +270,7 @@ def ppt_check(state: BipartiteState) -> PptReport:
     pt = linalg.partial_transpose(state.rho, state.d_a, state.d_b, "B")
     w = np.linalg.eigvalsh(linalg.hermitian_part(pt))
     min_eig = float(w[0])
-    return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= -PSD_TOL)
+    return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= linalg.psd_floor(w))
 
 
 _SPIN_FLIP = np.kron(

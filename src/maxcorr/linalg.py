@@ -5,7 +5,8 @@ operator on dimensions (d_a, d_b) is a (d_a*d_b) x (d_a*d_b) matrix whose
 composite index packs the A index first: row i*d_b + j corresponds to the
 basis vector |i>_A |j>_B. The bipartite helpers also take a (k, n, n) stack.
 
-support_cut alone decides which eigenvalues span a support, in either sort order.
+support_cut alone decides which eigenvalues span a support, and psd_floor alone
+which lie below zero beyond rounding, each on a spectrum in either sort order.
 from_eig(pinv_sqrt_weights(w), v) is the pseudo-inverse square root of a checked
 matrix (psd_pinv_sqrt, and correlation's per-state path). It sums in numpy's
 ascending eigenvalue order, so the search's kernels, pinv_sqrt_stack and mu_stack,
@@ -28,26 +29,6 @@ from .errors import (
     NotHermitianError,
     NotSquareError,
 )
-
-__all__ = [
-    "eye",
-    "hermitian_part",
-    "hermitian_eig",
-    "singular_values",
-    "check_psd",
-    "support_cut",
-    "sqrt_from_eig",
-    "pinv_sqrt_weights",
-    "from_eig",
-    "psd_sqrt",
-    "psd_pinv_sqrt",
-    "partial_trace",
-    "partial_transpose",
-    "realign",
-    "normalized_form",
-    "pinv_sqrt_stack",
-    "mu_stack",
-]
 
 
 def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -100,9 +81,15 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
 
 
-def check_psd(w: np.ndarray) -> None:
-    """Reject a descending spectrum whose smallest value lies below -PSD_TOL * max(1, top)."""
-    if w.size and w[-1] < -PSD_TOL * max(1.0, float(w[0])):
+def psd_floor(w: np.ndarray) -> float:
+    """-PSD_TOL * max(1, largest) of a spectrum sorted either way; -PSD_TOL if that is inf, so that inf fails."""
+    top = max(float(w[0]), float(w[-1]), 1.0)
+    return -PSD_TOL * top if top < np.inf else -PSD_TOL
+
+
+def check_psd(w: np.ndarray, traced_out: int = 1) -> None:
+    """Reject a descending spectrum below traced_out * psd_floor(w) < 0; a marginal sums traced_out compressions."""
+    if w.size and w[-1] < 0.0 and w[-1] < traced_out * psd_floor(w):
         raise NegativeEigenvalueError(f"eigenvalue {w[-1]:.3e} below zero")
 
 

@@ -13,27 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .defaults import HERMITICITY_TOL, PROB_SUM_TOL, PSD_TOL, TRACE_PRESERVATION_TOL, TRACE_TOL
+from .defaults import HERMITICITY_TOL, PROB_SUM_TOL, TRACE_PRESERVATION_TOL, TRACE_TOL
 from .errors import DimensionMismatchError, RangeError
-
-__all__ = [
-    "BipartiteState",
-    "ClassicalJoint",
-    "LocalChannel",
-    "StateDiagnostics",
-    "validate",
-    "bell_projector",
-    "isotropic",
-    "classical_bsc",
-    "embed_classical",
-    "measure_computational",
-    "tensor_bipartite",
-    "random_density",
-    "random_pure",
-    "random_product",
-    "random_channel",
-    "apply_local",
-]
 
 
 @dataclass(frozen=True)
@@ -160,7 +141,8 @@ def validate(state: BipartiteState) -> StateDiagnostics:
     with np.errstate(over="ignore", invalid="ignore"):
         herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
         trace_dev = float(abs(rho.trace() - 1.0))
-        min_eig = float(np.linalg.eigvalsh(linalg.hermitian_part(rho))[0])
+        w = np.linalg.eigvalsh(linalg.hermitian_part(rho))
+        min_eig, floor = float(w[0]), linalg.psd_floor(w)
         ranks = []
         for side in ("A", "B"):
             w = np.linalg.eigvalsh(linalg.hermitian_part(state.marginal(side)))
@@ -171,8 +153,8 @@ def validate(state: BipartiteState) -> StateDiagnostics:
         failures.append(f"hermiticity: deviation {herm_dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     if not trace_dev <= TRACE_TOL:
         failures.append(f"normalization: trace off by {trace_dev:.3e} (tol {TRACE_TOL:.1e})")
-    if not min_eig >= -PSD_TOL:
-        failures.append(f"positivity: eigenvalue {min_eig:.3e} below -{PSD_TOL:.1e}")
+    if not min_eig >= floor:
+        failures.append(f"positivity: eigenvalue {min_eig:.3e} below {floor:.1e}")
     return StateDiagnostics(
         hermiticity_deviation=herm_dev,
         trace_deviation=trace_dev,

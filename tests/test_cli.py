@@ -291,6 +291,16 @@ def test_extremes_suite_on_a_side_of_dimension_one(dims, capsys):
     assert rep["results"]["worst_pure_mu"] == 0.0
 
 
+@pytest.mark.parametrize("dims", ["1x2", "2x2"])
+def test_extremes_suite_reports_no_worst_value_for_a_family_no_trial_drew(dims, capsys):
+    """One trial draws one product state and no pure state: the pure family's worst value is null."""
+    code, rep = report(capsys, "suite", "extremes", "--trials", "1", "--dims", dims)
+    assert code == 0
+    assert rep["results"]["violations"] == 0
+    assert rep["results"]["worst_pure_mu"] is None
+    assert 0.0 <= rep["results"]["worst_product_mu"] < 1e-8
+
+
 def test_ment_suites_pass(capsys):
     code, rep = report(capsys, "suite", "ment-dpi", "--trials", "2", "--seed", "4")
     assert code == 0

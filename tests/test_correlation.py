@@ -6,8 +6,8 @@ import pytest
 
 import maxcorr as mc
 from maxcorr import correlation, linalg
-from maxcorr.cli import read_state_file
-from maxcorr.defaults import RANK_TOL
+from maxcorr.cli import main, read_state_file, write_state_file
+from maxcorr.defaults import PSD_TOL, RANK_TOL
 from maxcorr.errors import NegativeEigenvalueError, NotHermitianError, RangeError
 
 
@@ -314,6 +314,52 @@ def test_marginal_checks_keep_their_order():
         mc.mu_schmidt(st)
     with pytest.raises(NotHermitianError):
         mc.extract_witness(st)
+
+
+def at_the_positivity_floor(d_neg, d_other, factor, side):
+    """Eigenvalue -factor * PSD_TOL on each |0>|j> (side A, dims d_neg x d_other) or |i>|0> (side B, the mirror),
+    a seeded random_density on the remaining block, and trace one: the negative side's marginal sums d_other of
+    those eigenvalues."""
+    n = d_neg * d_other
+    rho = np.zeros((n, n), dtype=complex)
+    rho[:d_other, :d_other] = -factor * PSD_TOL * np.eye(d_other)
+    rho[d_other:, d_other:] = mc.random_density(d_neg - 1, d_other, seed=3).rho * (1.0 + d_other * factor * PSD_TOL)
+    if side == "A":
+        return mc.BipartiteState(d_neg, d_other, rho)
+    mirrored = rho.reshape(d_neg, d_other, d_neg, d_other).transpose(1, 0, 3, 2).reshape(n, n)
+    return mc.BipartiteState(d_other, d_neg, mirrored)
+
+
+FLOOR_CASES = [(d_n, d_o, side) for d_n in (3, 4) for d_o in range(1, 5) for side in "AB"]
+
+
+@pytest.mark.parametrize("d_neg, d_other, side", FLOOR_CASES)
+def test_a_validated_state_is_always_measured(d_neg, d_other, side, tmp_path, capsys):
+    """A marginal sums d_other compressions of rho, so its floor is d_other times the state's: whatever validate
+    accepts, every entry point and the mu and ment commands measure."""
+    st = at_the_positivity_floor(d_neg, d_other, 0.9, side)
+    assert mc.validate(st).ok
+    rep = mc.mu_schmidt(st, witness=True)
+    if rep.witness is None:
+        with pytest.raises(RangeError):
+            mc.extract_witness(st)
+    else:
+        assert mc.extract_witness(st).objective == rep.witness.objective
+    assert abs(mc.mu_variational(st, restarts=1).value - rep.mu) < 1e-6
+    path = str(tmp_path / "floor.json")
+    write_state_file(path, st)
+    for argv in (["mu", path], ["ment", path, "--k", "2", "--restarts", "1", "--iters", "4"]):
+        assert main(argv) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("d_neg, d_other, side", FLOOR_CASES)
+def test_below_the_floor_validate_fails_and_every_entry_point_raises(d_neg, d_other, side):
+    st = at_the_positivity_floor(d_neg, d_other, 1.1, side)
+    assert any(f.startswith("positivity:") for f in mc.validate(st).failures)
+    for entry in (mc.mu_schmidt, mc.extract_witness, mc.mu_variational):
+        with pytest.raises(NegativeEigenvalueError):
+            entry(st)
 
 
 def hermitian_ceiling(st):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from maxcorr import linalg
-from maxcorr.defaults import RANK_TOL
-from maxcorr.errors import DimensionMismatchError, NotHermitianError, NotSquareError
+from maxcorr.defaults import PSD_TOL, RANK_TOL
+from maxcorr.errors import DimensionMismatchError, NegativeEigenvalueError, NotHermitianError, NotSquareError
 from maxcorr.states import random_density, random_product, random_pure
 
 
@@ -193,6 +193,30 @@ def test_support_cut_reads_either_sort_order():
         w = np.sort(rng.uniform(-1e-12, 1.0, shape), axis=-1)
         assert np.array_equal(linalg.support_cut(w), linalg.support_cut(w[..., ::-1]))
     assert linalg.support_cut(np.array([1e-3, 0.2, 0.5])).tolist() == [0.5 * RANK_TOL]
+
+
+def test_psd_floor_reads_either_sort_order_and_scales_above_one():
+    for w, floor in (([-1e-12, 0.3, 0.7], -PSD_TOL), ([0.0, 4.0], -4.0 * PSD_TOL), ([2.5], -2.5 * PSD_TOL)):
+        w = np.array(w)
+        assert linalg.psd_floor(w) == linalg.psd_floor(w[::-1]) == floor
+
+
+@pytest.mark.parametrize("w", [[np.inf, -1.0], [np.nan, -1.0], [np.inf, np.nan]])
+def test_a_non_finite_spectrum_still_fails(w):
+    """A relative floor over inf would be -inf and pass everything; the floor falls back to -PSD_TOL."""
+    w = np.array(w)
+    assert linalg.psd_floor(w) == -PSD_TOL
+    assert not w[-1] >= linalg.psd_floor(w)  # validate's and ppt_check's comparison fails on NaN too
+    if not np.isnan(w[-1]):
+        with pytest.raises(NegativeEigenvalueError):
+            linalg.check_psd(w)
+
+
+@pytest.mark.parametrize("traced_out", [1, 2, 4])
+def test_check_psd_scales_the_floor_by_the_traced_out_dimension(traced_out):
+    linalg.check_psd(np.array([0.6, -0.9 * traced_out * PSD_TOL]), traced_out)
+    with pytest.raises(NegativeEigenvalueError):
+        linalg.check_psd(np.array([0.6, -1.1 * traced_out * PSD_TOL]), traced_out)
 
 
 @pytest.mark.parametrize("weight,kept", [(3e-10, True), (1e-10, False)])

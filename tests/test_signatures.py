@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import maxcorr
 from maxcorr import cli, correlation, entanglement, linalg, states
 
 MODULES = (linalg, correlation, entanglement, states)
@@ -59,6 +60,46 @@ def test_only_support_cut_reads_the_rank_tolerance():
     assert readers == ["maxcorr.linalg.support_cut"]
 
 
+def test_only_psd_floor_reads_the_psd_tolerance():
+    """One positivity rule: check_psd, validate and ppt_check all compare against linalg.psd_floor."""
+    readers = [
+        where
+        for module in MODULES
+        for where, obj in callables(module)
+        if "PSD_TOL" in getattr(getattr(obj, "__code__", None), "co_names", ())
+    ]
+    assert readers == ["maxcorr.linalg.psd_floor"]
+
+
+def package_sources():
+    return sorted(Path(linalg.__file__).parent.glob("*.py"))
+
+
+def test_no_module_declares_all():
+    """maxcorr/__init__.py's imports are the one list of public names; no module keeps a second one in __all__."""
+    assigned = [
+        path.name
+        for path in package_sources()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for target in (node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    ]
+    assert assigned == []
+
+
+def test_every_public_name_is_defined_where_the_package_imports_it_from():
+    """The package re-exports each name from its defining module, never through a second module."""
+    init = Path(maxcorr.__file__)
+    imported = [
+        (node.module, alias.asname or alias.name)
+        for node in ast.parse(init.read_text(), filename=str(init)).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert len(imported) > 50
+    assert [(mod, name) for mod, name in imported if getattr(maxcorr, name).__module__ != f"maxcorr.{mod}"] == []
+
+
 def code_names(code):
     """The global and attribute names a code object reads, with those of the functions nested in it."""
     names = set(code.co_names)
@@ -83,7 +124,7 @@ def test_the_library_imports_nothing_but_numpy_and_the_standard_library():
     """The package is pure numpy: every absolute import in src/maxcorr names numpy or a standard module."""
     allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
     found = set()
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+    for path in package_sources():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 found |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
