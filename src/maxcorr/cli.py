@@ -335,18 +335,29 @@ def _trial_seeds(seed: int, count: int) -> Iterator[int]:
     return (int(rng.integers(0, 2**63 - 1)) for _ in range(count))
 
 
-def _trial_suite(per_trial, key: str):
-    """A suite calling per_trial(t, s, d_a, d_b) on each seeded trial, which returns a
-    margin (key "worst_margin": min reported, violated below 0) or a gap
-    (key "worst_gap": max reported, violated above 1e-7), keeping only the running worst and count."""
+# Each reported key: which of two values is worse, and when a value on d_a x d_b violates the property.
+# A pure state is maximally correlated unless a side of dimension 1 makes it a product.
+_WORST = {
+    "worst_margin": (min, lambda v, d_a, d_b: v < 0.0),
+    "worst_gap": (max, lambda v, d_a, d_b: v > 1e-7),
+    "worst_product_mu": (max, lambda v, d_a, d_b: v > 1e-8),
+    "worst_pure_mu": (min, lambda v, d_a, d_b: abs(v - (1.0 if min(d_a, d_b) > 1 else 0.0)) > 1e-8),
+}
+
+
+def _trial_suite(per_trial, *keys: str):
+    """A suite calling per_trial(t, s, d_a, d_b) on each seeded trial t and judging its value by the
+    _WORST rules of keys[t % len(keys)]; only each key's running worst (None while no trial drew it)
+    and the violation count are kept."""
 
     def run(trials: int, seed: int, dims: tuple) -> tuple:
-        pick, violated = (min, lambda v: v < 0.0) if key == "worst_margin" else (max, lambda v: v > 1e-7)
-        worst, violations = None, 0
+        worst, violations = dict.fromkeys(keys), 0
         for t, s in enumerate(_trial_seeds(seed, trials)):
-            v = per_trial(t, s, *dims)
-            worst, violations = v if worst is None else pick(worst, v), violations + violated(v)
-        return {"trials": trials, key: worst}, violations
+            key, v = keys[t % len(keys)], per_trial(t, s, *dims)
+            pick, violated = _WORST[key]
+            worst[key] = v if worst[key] is None else pick(worst[key], v)
+            violations += violated(v, *dims)
+        return {"trials": trials, **worst}, violations
 
     return run
 
@@ -373,22 +384,8 @@ def _tensor_gap(t: int, s: int, d_a: int, d_b: int) -> float:
     )
 
 
-def _suite_extremes(trials: int, seed: int, dims: tuple) -> tuple:
-    d_a, d_b = dims
-    violations = 0
-    worst_product = worst_pure = None  # a family no trial drew has no worst value
-    pure_mu = 1.0 if min(d_a, d_b) > 1 else 0.0
-    for t, s in enumerate(_trial_seeds(seed, trials)):
-        if t % 2 == 0:
-            mu = mu_schmidt(random_product(d_a, d_b, seed=s)).mu
-            worst_product = mu if worst_product is None else max(worst_product, mu)
-            violations += mu > 1e-8
-        else:
-            # A pure state is maximally correlated unless a side of dimension 1 makes it a product.
-            mu = mu_schmidt(random_pure(d_a, d_b, seed=s)).mu
-            worst_pure = mu if worst_pure is None else min(worst_pure, mu)
-            violations += abs(mu - pure_mu) > 1e-8
-    return {"trials": trials, "worst_product_mu": worst_product, "worst_pure_mu": worst_pure}, violations
+def _extreme_mu(t: int, s: int, d_a: int, d_b: int) -> float:
+    return mu_schmidt((random_product, random_pure)[t % 2](d_a, d_b, seed=s)).mu
 
 
 def _suite_semicontinuity(trials: int, seed: int, dims: tuple) -> tuple:
@@ -440,7 +437,7 @@ def _ment_tensor_gap(t: int, s: int, d_a: int, d_b: int) -> float:
 SUITES = {
     "dpi": _trial_suite(_dpi_margin, "worst_margin"),
     "tensor": _trial_suite(_tensor_gap, "worst_gap"),
-    "extremes": _suite_extremes,
+    "extremes": _trial_suite(_extreme_mu, "worst_product_mu", "worst_pure_mu"),
     "semicontinuity": _suite_semicontinuity,
     "ment-dpi": _trial_suite(_ment_dpi_margin, "worst_margin"),
     "ment-tensor": _trial_suite(_ment_tensor_gap, "worst_gap"),

@@ -176,16 +176,11 @@ def single_qubit_cliffords() -> tuple:
 
     found = [np.eye(2, dtype=np.complex128)]
     seen = {key(found[0])}
-    queue = [found[0]]
-    while queue:
-        m = queue.pop(0)
-        for g in (h, s):
-            nm = g @ m
-            k = key(nm)
-            if k not in seen:
+    for m in found:  # appending while iterating keeps the closure breadth-first
+        for nm in (h @ m, s @ m):
+            if (k := key(nm)) not in seen:
                 seen.add(k)
                 found.append(nm)
-                queue.append(nm)
     assert len(found) == 24
     return tuple(found)
 
@@ -291,21 +286,12 @@ def _takagi_symmetric(t: np.ndarray):
     r = t.shape[0]
     w, q = np.linalg.eigh(linalg.hermitian_part(np.block([[t.real, t.imag], [t.imag, -t.real]])))
     cut = _TAKAGI_CUT * max(1.0, float(np.max(np.abs(w))))
-    cols = []
-    lams = []
-    for idx in range(2 * r - 1, -1, -1):
-        if w[idx] <= cut:
-            break
-        cols.append(q[:r, idx] + 1j * q[r:, idx])
-        lams.append(float(w[idx]))
-    u_pos = np.stack(cols, axis=1) if cols else np.zeros((r, 0), dtype=complex)
-    kept = u_pos.shape[1]
+    kept = int(np.count_nonzero(w > cut))  # w ascends, so the kept values are its last ones
+    u = q[:r, ::-1][:, :kept] + 1j * q[r:, ::-1][:, :kept]
     if kept < r:
-        basis = np.linalg.svd(u_pos)[0] if kept else np.eye(r, dtype=complex)
-        u = np.hstack([u_pos, basis[:, kept:]])
-    else:
-        u = u_pos
-    return np.array(lams + [0.0] * (r - kept)), u
+        basis = np.linalg.svd(u)[0] if kept else np.eye(r, dtype=complex)
+        u = np.hstack([u, basis[:, kept:]])
+    return np.concatenate([w[::-1][:kept], np.zeros(r - kept)]), u
 
 
 def _product_ensemble_candidate(target: BipartiteState) -> Decomposition | None:
@@ -434,14 +420,10 @@ class _PovmObjective:
         return Decomposition(target=self.target, weights=weights, components=states)
 
 
-def _random_block(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(z_0 + i z_1) / sqrt(n) for standard normal z: the real parts are drawn first."""
-    z = rng.standard_normal((2, n, n)) * (1.0 / math.sqrt(n))
-    return z.transpose(1, 2, 0).copy().view(np.complex128)[..., 0]
-
-
 def _random_blocks(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    return np.stack([_random_block(rng, n) for _ in range(k)])
+    """k blocks (z_0 + i z_1) / sqrt(n) for standard normal z in one draw: block by block, the real parts first."""
+    z = rng.standard_normal((k, 2, n, n)) * (1.0 / math.sqrt(n))
+    return z.transpose(0, 2, 3, 1).copy().view(np.complex128)[..., 0]
 
 
 def _soft_worst(mus: np.ndarray, temp: float) -> float:
@@ -491,7 +473,7 @@ def _search_once(objective: _PovmObjective, iters: int, rng: np.random.Generator
         trials = blocks[None].repeat(min(_PROPOSALS, iters - _PROPOSALS * t), axis=0)
         for trial in trials:
             i = worst if random() < 0.5 else int(integers(k))
-            trial[i] += step * _random_block(rng, n)
+            trial[i] += step * _random_blocks(rng, n, 1)[0]
         results = objective.evaluate(trials)
         current, *scores = _soft_worst_rows([mus] + [r[2] for r in results], temp)
         best = scores.index(min(scores))

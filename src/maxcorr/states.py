@@ -135,18 +135,21 @@ class StateDiagnostics:
 def validate(state: BipartiteState) -> StateDiagnostics:
     """Check hermiticity, normalization, and positivity; never raises.
 
-    Entries near the float limit can overflow to inf and NaN; every check fails on NaN.
+    Entries near the float limit overflow to inf and NaN, where eigvalsh may fail; every check fails on NaN.
     """
     rho = state.rho
     with np.errstate(over="ignore", invalid="ignore"):
         herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
         trace_dev = float(abs(rho.trace() - 1.0))
-        w = np.linalg.eigvalsh(linalg.hermitian_part(rho))
+        spectra = []
+        for m in (rho, state.marginal("A"), state.marginal("B")):
+            try:
+                spectra.append(np.linalg.eigvalsh(linalg.hermitian_part(m)))
+            except np.linalg.LinAlgError:  # an overflowed hermitian part: a NaN spectrum fails every check
+                spectra.append(np.full(len(m), np.nan))
+        w, *marginals = spectra
         min_eig, floor = float(w[0]), linalg.psd_floor(w)
-        ranks = []
-        for side in ("A", "B"):
-            w = np.linalg.eigvalsh(linalg.hermitian_part(state.marginal(side)))
-            ranks.append(int(np.count_nonzero(w > linalg.support_cut(w))))
+        ranks = [int(np.count_nonzero(x > linalg.support_cut(x))) for x in marginals]
 
     failures = []
     if not herm_dev <= HERMITICITY_TOL:

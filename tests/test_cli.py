@@ -416,6 +416,20 @@ def test_overflowing_state_file_is_an_input_error(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("command", ["mu", "ppt", "ment"])
+@pytest.mark.parametrize(
+    "rho",
+    [np.diag([1e308, 1e308, 1e308, -1e308]), np.full((4, 4), 1e308)],
+    ids=["diagonal", "filled"],
+)
+def test_a_state_whose_spectrum_does_not_converge_is_an_input_error(tmp_path, capsys, rho, command):
+    path = str(tmp_path / "huge.json")
+    write_state_file(path, mc.BipartiteState(2, 2, rho))
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def _half_identity(n):
     return [[[0.5 if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
 

@@ -360,6 +360,20 @@ def test_evaluate_rejects_a_block_at_or_below_the_weight_floor(scale):
         objective.evaluate(blocks[None])
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_one_draw_of_k_blocks_reads_the_stream_of_k_single_block_draws(n):
+    """The search's start draws k blocks at once and each perturbation one: both read one stream
+    layout, block by block with its real parts first, so either gives the same bits."""
+    for k in range(1, 9):
+        together = entanglement._random_blocks(np.random.default_rng(k), n, k)
+        rng = np.random.default_rng(k)
+        single = [entanglement._random_blocks(rng, n, 1)[0] for _ in range(k)]
+        assert together.shape == (k, n, n)
+        assert together.tobytes() == np.stack(single).tobytes()
+        z = np.random.default_rng(k).standard_normal((k, 2, n, n)) * (1.0 / np.sqrt(n))
+        assert np.array_equal(together, z[:, 0] + 1j * z[:, 1])
+
+
 @pytest.mark.parametrize(
     "d_a, d_b, rank", [(2, 2, None), (2, 3, None), (3, 2, None), (3, 3, None), (4, 4, None), (3, 3, 4)]
 )

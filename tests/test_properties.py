@@ -2,8 +2,8 @@
 variational oracle over every dims pair 2x2-4x4, of mu on product states from
 1x1 up, of the data processing inequality and tensor max of mu from 1x1 up, of
 the certified bracket (on two qubits against the search, and from 1x1 up with
-no restart), of the two-qubit product ensemble, and of the search's one-pass
-soft maximum against its row-by-row reference.
+no restart), of the two-qubit product ensemble and its Takagi factorization,
+and of the search's one-pass soft maximum against its row-by-row reference.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -179,6 +179,32 @@ def test_search_draws_only_blocks_of_positive_weight(state, k, seed):
     dec = entanglement._search_once(entanglement._PovmObjective(state, k), 6, np.random.default_rng(seed))
     assert len(dec.components) == k
     assert np.min(dec.weights) > entanglement._WEIGHT_FLOOR
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.sampled_from([1.0, 1e-12]), seeds)
+@example(1, 1.0, 0)
+@example(2, 1.0, 0)
+@example(3, 1.0, 0)
+@example(4, 1.0, 0)
+@example(4, 1e-12, 0)
+def test_takagi_factors_every_complex_symmetric_matrix(rank, scale, seed):
+    """t = g diag(s) g^T of rank 1-4 keeps rank Takagi values; scaled by 1e-12 it keeps none,
+    so the examples cover every kept count 0-4 and the completion of the columns dropped.
+
+    The Takagi values of a complex symmetric matrix are its singular values, so the kept ones
+    match t's leading singular values and the factorization misses t by the dropped ones alone.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    t = scale * (g * (0.1 + rng.random(rank))) @ g.T
+    lam, u = entanglement._takagi_symmetric(t)
+    kept, sing, size = np.count_nonzero(lam), np.linalg.svd(t, compute_uv=False), max(1.0, np.linalg.norm(t))
+    assert kept == (rank if scale == 1.0 else 0)
+    assert np.all(lam >= 0.0) and np.all(np.diff(lam) <= 0.0)
+    assert np.all(np.abs(lam[:kept] - sing[:kept]) <= 1e-12 * size)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+    assert np.linalg.norm(u @ np.diag(lam) @ u.T - t) <= 1e-12 * size + np.linalg.norm(sing[kept:])
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Tolerances are constants in maxcorr.defaults, not call arguments."""
 
+import argparse
 import ast
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -132,3 +134,19 @@ def test_the_library_imports_nothing_but_numpy_and_the_standard_library():
                 found.add((path.name, node.module.split(".")[0]))
     assert {"numpy", "argparse"} <= {name for _, name in found}
     assert sorted((f, name) for f, name in found if name not in allowed) == []
+
+
+def readme_cli_table():
+    """{command: description} from README's CLI reference table, the command being its cell's first word."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## CLI reference", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return {cells[0].strip("| `").split()[0]: cells[1] for cells in rows}
+
+
+def test_readme_names_exactly_the_parsers_subcommands_and_suites():
+    """The CLI reference cannot drift from build_parser() or cli.SUITES."""
+    table = readme_cli_table()
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(table) == sorted(subparsers.choices)
+    assert re.findall(r"`([\w-]+)`", table["suite"].split("names:", 1)[1]) == list(cli.SUITES)

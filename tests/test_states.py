@@ -58,6 +58,19 @@ def test_validate_flags_an_overflowing_state_without_raising():
     assert not d.ok
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [np.diag([1e308, 1e308, 1e308, -1e308]), np.full((4, 4), 1e308)],
+    ids=["diagonal", "filled"],
+)
+def test_validate_flags_a_state_whose_spectrum_does_not_converge(rho):
+    # The hermitian part overflows to inf + NaN i, where eigvalsh raises rather than returning NaN.
+    d = mc.validate(mc.BipartiteState(2, 2, rho))
+    assert np.isnan(d.min_eigenvalue)
+    assert any(f.startswith("positivity:") for f in d.failures)
+    assert not d.ok
+
+
 def test_bell_projector_is_pure():
     p = mc.bell_projector()
     assert abs(np.trace(p) - 1.0) < 1e-14
