@@ -153,12 +153,13 @@ def write_joint_csv(path: str, joint: ClassicalJoint) -> None:
 
 
 def read_joint_csv(path: str) -> ClassicalJoint:
-    with open(path, "rb") as fh:
-        if not any(line.split(b"#", 1)[0].strip() for line in fh):  # loadtxt would warn and return a (0, 1) table
-            raise ParseError(f"{path}: empty table")
     try:
-        table = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except ValueError as exc:
+        with open(path, encoding="utf-8") as fh:  # loadtxt alone would read a blank-looking line as a row
+            lines = [line for line in fh if line.split("#", 1)[0].strip()]
+        if not lines:  # loadtxt would warn and return a (0, 1) table
+            raise ParseError(f"{path}: empty table")
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64)
+    except ValueError as exc:  # bad UTF-8 or a ragged or non-numeric table
         raise ParseError(f"{path}: not a rectangular CSV of numbers ({exc})") from exc
     try:
         return ClassicalJoint(table)

@@ -160,29 +160,18 @@ def fidelity_mu_lower_bound(state: BipartiteState) -> float:
 
 
 def single_qubit_cliffords() -> tuple:
-    """The 24 single-qubit Clifford rotations (up to phase), as 2x2 unitaries.
+    """The 24 single-qubit Clifford rotations (up to phase), as complex128 2x2 unitaries.
 
-    Generated by breadth-first closure of the Hadamard and phase gates with
-    phase-normalized deduplication, so the order is deterministic.
+    Each Pauli I, X, Y, Z (Pauli-major) times each of the six H/S products I,
+    H, S, HS, SH, HSH, one for every permutation of the Pauli axes.
     """
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-    s = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=np.complex128)
-
-    def key(u: np.ndarray) -> bytes:
-        flat = u.reshape(-1)
-        first = flat[np.argmax(np.abs(flat) > 0.4)]
-        v = np.round(u / (first / abs(first)), 9) + 0.0
-        return v.tobytes()
-
-    found = [np.eye(2, dtype=np.complex128)]
-    seen = {key(found[0])}
-    for m in found:  # appending while iterating keeps the closure breadth-first
-        for nm in (h @ m, s @ m):
-            if (k := key(nm)) not in seen:
-                seen.add(k)
-                found.append(nm)
-    assert len(found) == 24
-    return tuple(found)
+    s = np.diag([1.0, 1.0j])
+    eye = np.eye(2, dtype=np.complex128)
+    x, z = eye[::-1], np.diag([1.0, -1.0]).astype(np.complex128)
+    paulis = (eye, x, 1j * x @ z, z)
+    axes = (eye, h, s, h @ s, s @ h, h @ s @ h)
+    return tuple(p @ a for p in paulis for a in axes)
 
 
 def _twirl_noise(state: BipartiteState) -> float:
@@ -215,15 +204,15 @@ def twirl_exact(state: BipartiteState) -> BipartiteState:
 def twirl_clifford_average(state: BipartiteState) -> BipartiteState:
     """Average of (C (x) C*) rho (C (x) C*)^dag over the 24 Clifford rotations.
 
-    Agrees with twirl_exact to numerical precision because the Clifford
-    group averages degree-2 polynomials exactly like the Haar measure.
+    One sum over the stacked (24, 4, 4) C (x) C*. Agrees with twirl_exact to
+    numerical precision because the Clifford group averages degree-2
+    polynomials exactly like the Haar measure.
     """
     if (state.d_a, state.d_b) != (2, 2):
         raise DimensionMismatchError("Clifford twirl needs a two-qubit state")
-    acc = np.zeros((4, 4), dtype=np.complex128)
-    for c in single_qubit_cliffords():
-        u = np.kron(c, c.conj())
-        acc += u @ state.rho @ u.conj().T
+    c = np.array(single_qubit_cliffords())
+    u = np.einsum("nab,ncd->nacbd", c, c.conj()).reshape(24, 4, 4)
+    acc = (u @ state.rho @ u.conj().swapaxes(-1, -2)).sum(axis=0)
     return BipartiteState(2, 2, linalg.hermitian_part(acc / 24.0))
 
 
@@ -301,11 +290,12 @@ def _product_ensemble_candidate(target: BipartiteState) -> Decomposition | None:
     vanishes. Starting from the eigenvector ensemble of the target, a unitary
     recombination diagonalizes the symmetric matrix of mutual spin-flip
     overlaps; when the leading diagonal value is at most the sum of the rest,
-    phases closing that polygon followed by a balanced orthogonal mix drive
-    every overlap to zero, giving an ensemble of (numerically exact) product
-    vectors. Returns None when the polygon cannot close, which is precisely
-    the entangled case, or when the assembled mixture fails to rebuild the
-    target tightly.
+    phases closing that polygon followed by the balanced orthogonal mix
+    kron(H2, H2) / 2 drive every overlap to zero, giving four (numerically
+    exact) product vectors a (x) b, split by one batched 2x2 SVD; those of
+    weight above _WEIGHT_FLOOR become the components |a><a| (x) |b><b|.
+    Returns None when the polygon cannot close, which is precisely the
+    entangled case, or when the mixture misses the target by over 1e-10.
     """
     if (target.d_a, target.d_b) != (2, 2):
         return None
@@ -334,29 +324,20 @@ def _product_ensemble_candidate(target: BipartiteState) -> Decomposition | None:
         phi_3 = float(np.angle(-partial)) if abs(partial) > 0.0 else 0.0
         theta = np.array([0.0, phi_2, phi_3, phi_3]) / 2.0
     phased = recombined * np.exp(1j * theta)[None, :]
-    mix = np.array(
-        [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
-        dtype=np.float64,
-    ) / 2.0
-    columns = phased @ mix.T
-    weights = []
-    comps = []
-    for i in range(4):
-        left, sing, right = np.linalg.svd(columns[:, i].reshape(2, 2))
-        weight = float(sing[0] ** 2)
-        if weight <= _WEIGHT_FLOOR:
-            continue
-        a = left[:, 0]
-        b = right[0, :]
-        comps.append(np.kron(np.outer(a, a.conj()), np.outer(b, b.conj())))
-        weights.append(weight)
-    if not comps:
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    mix = np.kron(h2, h2) / 2.0  # symmetric and orthogonal
+    columns = phased @ mix
+    left, sing, right = np.linalg.svd(columns.T.reshape(4, 2, 2))
+    keep = sing[:, 0] ** 2 > _WEIGHT_FLOOR
+    if not keep.any():
         return None
-    wts = np.array(weights)
+    a, b = left[keep, :, 0], right[keep, 0, :]
+    projectors = np.einsum("ni,nj,nk,nl->nikjl", a, a.conj(), b, b.conj()).reshape(-1, 4, 4)
+    weights = sing[keep, 0] ** 2
     dec = Decomposition(
         target=target,
-        weights=wts / wts.sum(),
-        components=tuple(BipartiteState(2, 2, c) for c in comps),
+        weights=weights / weights.sum(),
+        components=tuple(BipartiteState(2, 2, p) for p in projectors),
     )
     if dec.residual() > 1e-10:
         return None

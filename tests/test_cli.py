@@ -153,6 +153,36 @@ def test_mu_classical_reports_an_empty_table_in_one_line(tmp_path, capsys, text)
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.1,0.2,0.3\n0.15,0.05,0.2\n   \n",
+        "0.1,0.2,0.3\n0.15,0.05,0.2\n\t\n",
+        " \n0.1,0.2,0.3\n\t\n0.15,0.05,0.2\n \t \n\t\n",
+    ],
+    ids=["trailing-spaces", "trailing-tab", "interleaved"],
+)
+def test_mu_classical_reads_whitespace_only_lines_as_blank(tmp_path, capsys, text):
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text("0.1,0.2,0.3\n0.15,0.05,0.2\n", encoding="utf-8")
+    padded.write_text(text, encoding="utf-8")
+    (_, want), (_, got) = (report(capsys, "mu-classical", str(p)) for p in (plain, padded))
+    for rep in (want, got):
+        del rep["inputs"], rep["timing"]
+    assert got == want
+
+
+def test_mu_classical_reports_non_utf8_bytes_in_one_line(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"0.5,0.5\n\xff,0\n")
+    code, out, err = run(capsys, "mu-classical", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: {path}: not a rectangular CSV of numbers "
+        "('utf-8' codec can't decode byte 0xff in position 8: invalid start byte)"
+    ]
+
+
 def test_ment_detects_separable_family_member(tmp_path, capsys):
     path = str(tmp_path / "iso07.json")
     report(capsys, "gen", "isotropic", "0.7", "-o", path)

@@ -116,6 +116,38 @@ def test_clifford_set_is_a_group_of_24():
     assert any(np.max(np.abs(u - np.eye(2))) < 1e-12 for u in group)
 
 
+def _same_up_to_phase(u, v):
+    """|tr(U^dag V)| = 2 within 1e-12: the 2x2 unitaries U and V differ by a phase alone."""
+    return abs(abs(np.trace(u.conj().T @ v)) - 2.0) <= 1e-12
+
+
+def _hs_closure():
+    """Reference group: breadth-first closure of H and S, keeping one element per phase class."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    s = np.diag([1.0, 1.0j])
+    found = [np.eye(2, dtype=complex)]
+    for m in found:
+        for nm in (h @ m, s @ m):
+            if not any(_same_up_to_phase(f, nm) for f in found):
+                found.append(nm)
+    return found
+
+
+def test_written_down_cliffords_are_the_hs_closure():
+    group = mc.single_qubit_cliffords()
+    assert all(u.dtype == np.complex128 for u in group)
+    assert all(np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-15 for u in group)
+
+    def matches(u, pool):
+        return [i for i, v in enumerate(pool) if _same_up_to_phase(v, u)]
+
+    closure = _hs_closure()
+    assert len(closure) == 24
+    assert sorted(i for u in group for i in matches(u, closure)) == list(range(24))
+    assert sorted(i for u in closure for i in matches(u, group)) == list(range(24))
+    assert all(len(matches(a @ b, group)) == 1 for a in group for b in group)
+
+
 def test_twirl_agrees_with_clifford_average():
     for seed in range(10):
         st = mc.random_density(2, 2, seed=200 + seed)
@@ -196,6 +228,22 @@ def test_search_resolves_separable_mixtures_without_restarts():
 def test_product_ensemble_rejects_entangled_pure_states():
     for seed in range(20):
         assert entanglement._product_ensemble_candidate(mc.random_pure(2, 2, seed=seed)) is None
+
+
+@pytest.mark.parametrize(
+    "target",
+    [product_mixture(400 + seed, terms) for terms in range(1, 5) for seed in range(3)]
+    + [mc.isotropic(eps) for eps in (2.0 / 3.0, 0.7, 0.8, 1.0)],
+)
+def test_product_ensemble_returns_at_most_four_pure_products(target):
+    dec = entanglement._product_ensemble_candidate(target)
+    assert dec is not None and len(dec.components) <= 4
+    for c in dec.components:
+        assert mc.validate(c).ok and mc.validate(c).marginal_ranks == (1, 1)
+        assert mc.mu_schmidt(c).mu <= 1e-12
+    assert np.all(dec.weights > entanglement._WEIGHT_FLOOR)
+    assert abs(dec.weights.sum() - 1.0) <= 1e-12
+    assert dec.residual() <= 1e-10
 
 
 def test_search_stops_restarting_at_the_floor(monkeypatch):

@@ -2,8 +2,10 @@
 variational oracle over every dims pair 2x2-4x4, of mu on product states from
 1x1 up, of the data processing inequality and tensor max of mu from 1x1 up, of
 the certified bracket (on two qubits against the search, and from 1x1 up with
-no restart), of the two-qubit product ensemble and its Takagi factorization,
-and of the search's one-pass soft maximum against its row-by-row reference.
+no restart), of certificates under local channels, tensor products and local
+unitaries from 1x1 up, of the two-qubit product ensemble and its Takagi
+factorization, and of the search's one-pass soft maximum against its
+row-by-row reference.
 
 Examples are drawn deterministically (derandomize=True) with a fixed budget,
 so every run checks the same states.
@@ -160,6 +162,47 @@ def test_bracket_lower_stays_below_upper_and_upper_below_mu(state):
     b = mc.bracket(state, restarts=0)
     assert b.lower <= b.upper + 1e-9
     assert b.upper <= mc.mu_schmidt(state).mu
+
+
+def mapped_decomposition(dec, target, f):
+    """dec with f applied to every component, certifying f's image of the target."""
+    return mc.Decomposition(target=target, weights=dec.weights, components=tuple(f(c) for c in dec.components))
+
+
+@PROPERTY
+@given(states_and_local_channels(), st.integers(1, 4), seeds)
+def test_certificate_survives_a_local_channel(pair, k, seed):
+    state, channel = pair
+    dec = mc.random_povm_decomposition(state, k=k, seed=seed)
+    pushed = mapped_decomposition(dec, mc.apply_local(state, channel), lambda c: mc.apply_local(c, channel))
+    assert mc.mu_ent_upper(pushed) <= mc.mu_ent_upper(dec) + 1e-7
+
+
+@PROPERTY
+@given(tensor_factors(), st.integers(1, 4), seeds)
+def test_product_of_certificates_certifies_the_larger_bound(factors, k, seed):
+    r, s = factors
+    dr, ds = (mc.random_povm_decomposition(x, k=k, seed=seed + i) for i, x in enumerate(factors))
+    joint = mc.Decomposition(
+        target=mc.tensor_bipartite(r, s),
+        weights=np.outer(dr.weights, ds.weights).reshape(-1),
+        components=tuple(mc.tensor_bipartite(a, b) for a in dr.components for b in ds.components),
+    )
+    assert abs(mc.mu_ent_upper(joint) - max(mc.mu_ent_upper(dr), mc.mu_ent_upper(ds))) <= 1e-9
+
+
+@PROPERTY
+@given(mixed_states(st.integers(1, 4)), st.integers(1, 4), seeds)
+def test_certificate_is_local_unitary_invariant(state, k, seed):
+    rng = np.random.default_rng(seed)
+    u = np.kron(haar_unitary(rng, state.d_a), haar_unitary(rng, state.d_b))
+
+    def rotate(x):
+        return mc.BipartiteState(x.d_a, x.d_b, u @ x.rho @ u.conj().T)
+
+    dec = mc.random_povm_decomposition(state, k=k, seed=seed)
+    rotated = mapped_decomposition(dec, rotate(state), rotate)
+    assert abs(mc.mu_ent_upper(rotated) - mc.mu_ent_upper(dec)) <= 1e-9
 
 
 @PROPERTY
