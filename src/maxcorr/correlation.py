@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .defaults import LAMBDA1_WARN_TOL, ORACLE_ITERS, RESTARTS
-from .errors import DegenerateMarginalError, RangeError
+from .errors import RangeError
 from .states import BipartiteState, ClassicalJoint
 
 
@@ -151,25 +151,18 @@ def mu_schmidt(state: BipartiteState, witness: bool = False) -> CorrelationRepor
 
 
 def mu_classical(joint: ClassicalJoint) -> CorrelationReport:
-    """Maximal correlation of a joint probability table.
+    """Maximal correlation of a joint probability table: mu_schmidt(embed_classical(joint)).
 
-    Restricts to the support (drops zero-probability rows and columns),
-    normalizes by the marginals, and reads the second singular value. For
-    2x2 supports the value is cross-checked against |det| of the normalized
-    table, which it must equal because the leading singular value is 1.
+    Keeps the rows and columns whose marginal exceeds linalg.support_cut of its sorted
+    marginal, the rule that gives mu_schmidt's marginal ranks, normalizes the kept block
+    by the full table's marginals, and reads the second singular value. For 2x2 supports
+    the value is cross-checked against |det| of the normalized table, which it must
+    equal because the leading singular value is 1.
     """
     p = joint.probs
-    row = p.sum(axis=1)
-    col = p.sum(axis=0)
-    p = p[row > 0.0, :][:, col > 0.0]
-    if p.size == 0:
-        raise DegenerateMarginalError("joint table has empty support")
-    row = p.sum(axis=1)
-    col = p.sum(axis=0)
-    if np.min(row) <= 0.0 or np.min(col) <= 0.0:
-        raise DegenerateMarginalError("marginal vanishes after support restriction")
-
-    tilde = p / np.sqrt(np.outer(row, col))
+    row, col = p.sum(axis=1), p.sum(axis=0)
+    keep_a, keep_b = row > linalg.support_cut(np.sort(row)), col > linalg.support_cut(np.sort(col))
+    tilde = p[keep_a][:, keep_b] / np.sqrt(np.outer(row[keep_a], col[keep_b]))
     sv = np.linalg.svd(tilde, compute_uv=False)
     mu = float(sv[1]) if sv.size > 1 else 0.0
     dev = float(abs(sv[0] - 1.0))
@@ -185,7 +178,7 @@ def mu_classical(joint: ClassicalJoint) -> CorrelationReport:
         mu=mu,
         schmidt=sv,
         lambda1_deviation=dev,
-        marginal_ranks=(p.shape[0], p.shape[1]),
+        marginal_ranks=tilde.shape,
         witness=None,
         warnings=tuple(warnings),
     )
@@ -354,8 +347,10 @@ def extract_witness(state: BipartiteState) -> ObservablePair:
 
 
 def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
-    """extract_witness on spectra already taken, or None when mu vanishes: Y's phase (_objective), |raw|
-    and the rotated pair's hermiticity choose the deflated pair or the ceiling's; only that one is scored.
+    """extract_witness on spectra already taken, or None when mu vanishes. The leading pair it deflates is each
+    marginal's square root on its support (the first rank eigenpairs), so a cut leaves no stray direction.
+    Y's phase (_objective), |raw| and the rotated pair's hermiticity choose the deflated pair or the ceiling's;
+    only that one is scored.
 
     The ceiling is built only if every bound _ceiling_bounds yields, side A's and then both sides', passes
     b + 1e-12 >= |raw| - 1e-8; side B is not computed once side A fails. Whitened in <X, Z>_A =
@@ -365,9 +360,10 @@ def _witness(state: BipartiteState, sp: _Spectra) -> ObservablePair | None:
     the squared distance from {e^{i phi} x} to the hermitian matrices (zero mean dropped): t = V^dag x V in rho_A's
     eigenbasis, a_i its eigenvalues clipped at 0, k_ij = a_i a_j / (a_i + a_j) (0 if both are 0). Likewise on B.
     """
-    _, inv_a, inv_b, realigned = sp.normalized
-    w = linalg.sqrt_from_eig(*sp.eig_a).reshape(-1)
-    z = linalg.sqrt_from_eig(*sp.eig_b).reshape(-1).conj()
+    (r_a, r_b), inv_a, inv_b, realigned = sp.normalized
+    (w_a, v_a), (w_b, v_b) = sp.eig_a, sp.eig_b
+    w = linalg.sqrt_from_eig(w_a[:r_a], v_a[:, :r_a]).reshape(-1)
+    z = linalg.sqrt_from_eig(w_b[:r_b], v_b[:, :r_b]).reshape(-1).conj()
     w, z = w / np.linalg.norm(w), z / np.linalg.norm(z)
     deflated = realigned - w[:, None] * (w.conj() @ realigned)
     deflated = deflated - (deflated @ z)[:, None] * z.conj()

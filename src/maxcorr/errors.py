@@ -31,7 +31,7 @@ class RangeError(MaxcorrError, ValueError):
 
 
 class DegenerateMarginalError(MaxcorrError):
-    """A joint distribution has no usable support after restriction."""
+    """A joint table without usable support; nothing raises it, as mu_classical keeps each largest marginal."""
 
 
 class InvalidDecompositionError(MaxcorrError):

@@ -111,6 +111,30 @@ def test_mu_classical_on_generated_table(tmp_path, capsys):
     assert abs(rep["results"]["mu"] - 0.5) < 1e-12
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} in a report")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_stay_finite_json_at_the_rank_cliff(tmp_path, capsys):
+    table = tmp_path / "cliff.csv"
+    table.write_text("1,0\n0,1e-300\n", encoding="utf-8")
+    code, out, err = run(capsys, "mu-classical", str(table))
+    res = strict_json(out)["results"]
+    assert (code, err, res["mu"], res["support_shape"]) == (0, "", 0.0, [1, 1])
+
+    zero = np.zeros((4, 4), dtype=complex)
+    zero[0, 0] = 1.0
+    state = tmp_path / "cliff.json"
+    write_state_file(str(state), mc.BipartiteState(2, 2, (1.0 - 1e-11) * zero + 1e-11 * mc.bell_projector()))
+    code, out, err = run(capsys, "mu", str(state), "--witness")
+    res = strict_json(out)["results"]
+    assert (code, err, res["mu"]) == (0, "", 0.0)
+    assert "witness" not in res
+
+
 def test_mu_classical_rejects_bad_table(tmp_path, capsys):
     path = str(tmp_path / "bad.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -127,6 +127,23 @@ def test_witness_undefined_at_zero_correlation():
         mc.extract_witness(mc.random_product(2, 2, seed=1))
 
 
+@pytest.mark.parametrize("weight", [1e-9, 3e-10, 1e-10, 1e-11, 1e-13])
+def test_witness_at_the_rank_cliff(weight):
+    """(1 - w)|00><00| + w|Phi+><Phi+|: the witness deflates on the support, so it exists exactly when mu = 1."""
+    zero = np.zeros((4, 4), dtype=complex)
+    zero[0, 0] = 1.0
+    st = mc.BipartiteState(2, 2, (1.0 - weight) * zero + weight * mc.bell_projector())
+    rep = mc.mu_schmidt(st, witness=True)
+    if weight > 2.0 * RANK_TOL:
+        assert rep.mu == pytest.approx(1.0, abs=1e-9)
+        assert abs(rep.witness.objective - rep.mu) <= 1e-9
+        return
+    assert (rep.mu, rep.witness) == (0.0, None)
+    with pytest.raises(RangeError):
+        mc.extract_witness(st)
+    assert mc.mu_variational(st).value <= 1e-9
+
+
 def test_variational_oracle_matches_spectral_value():
     for seed in range(8):
         da, db = [(2, 2), (2, 3), (3, 2), (3, 3)][seed % 4]

@@ -1,6 +1,7 @@
 """Property tests of mu, the hermitian ceiling, its closed-form bound and the
 variational oracle over every dims pair 2x2-4x4, of mu on product states from
 1x1 up, of the data processing inequality and tensor max of mu from 1x1 up, of
+mu_classical of a joint table against mu of its embedded state from 1x1 up, of
 the certified bracket (on two qubits against the search, and from 1x1 up with
 no restart), of certificates under local channels, tensor products and local
 unitaries from 1x1 up, of the two-qubit product ensemble and its Takagi
@@ -53,6 +54,20 @@ def tensor_factors(draw):
         mc.random_density(d_a, d_b, rank=draw(st.integers(1, d_a * d_b)), seed=draw(seeds))
         for d_a, d_b in ((a1, b1), (a2, b2))
     )
+
+
+@st.composite
+def joint_tables(draw):
+    """A Dirichlet table from 1x1 to 4x4, sometimes with one row or column scaled toward the support cut and past it."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from([0.02, 0.05, 0.3, 1.0]))
+    p = np.random.default_rng(draw(seeds)).dirichlet(np.full(rows * cols, alpha)).reshape(rows, cols)
+    scale = draw(st.sampled_from([1.0, 1e-9, 1e-11, 1e-13, 1e-200, 1e-300]))
+    if draw(st.booleans()):
+        p[draw(st.integers(0, rows - 1))] *= scale
+    else:
+        p[:, draw(st.integers(0, cols - 1))] *= scale
+    return mc.ClassicalJoint(p / p.sum())
 
 
 @st.composite
@@ -145,6 +160,17 @@ def test_product_states_have_zero_mu(seed):
             state = mc.random_product(d_a, d_b, seed=seed)
             assert mc.mu_schmidt(state).mu <= 1e-12
             assert linalg.mu_stack(state.rho[None], d_a, d_b)[0] <= 1e-12
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(joint_tables())
+@example(mc.ClassicalJoint(np.array([[1.0, 0.0], [0.0, 1e-300]])))
+@example(mc.ClassicalJoint(np.array([[0.5, 0.2], [3e-12, 0.0]]) / (0.7 + 3e-12)))
+def test_a_table_and_its_embedded_state_give_one_number(joint):
+    """mu_classical cuts each marginal where mu_schmidt cuts the embedded state's diagonal marginals."""
+    table, state = mc.mu_classical(joint), mc.mu_schmidt(mc.embed_classical(joint))
+    assert abs(table.mu - state.mu) <= 1e-12
+    assert table.marginal_ranks == state.marginal_ranks
 
 
 @PROPERTY
